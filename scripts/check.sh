@@ -19,7 +19,7 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "check: cargo doc --workspace --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
 
-echo "check: cargo test -q"
-cargo test -q --offline
+echo "check: cargo test -q --workspace"
+cargo test -q --offline --workspace
 
 echo "check: PASS"
