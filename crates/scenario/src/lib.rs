@@ -30,9 +30,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// All internal callers have migrated off the deprecated
-// `CoexistenceSim::new_unchecked` shim; deny keeps it that way while the
-// shim itself survives at the public API boundary.
+// The crate exports no deprecated items; deny keeps any future shim from
+// gaining internal callers.
 #![deny(deprecated)]
 
 pub mod config;
