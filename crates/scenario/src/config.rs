@@ -733,9 +733,10 @@ pub struct ZigbeeResults {
 /// Wi-Fi-side outcome counters.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WifiResults {
-    /// Data frames transmitted.
+    /// Data frames transmitted by E.
     pub frames_sent: u64,
-    /// Data frames successfully received at F.
+    /// E's data frames successfully received at F (a contending
+    /// station's frames are not counted).
     pub frames_received: u64,
     /// CTS reservations issued.
     pub reservations: u64,
