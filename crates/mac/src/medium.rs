@@ -6,9 +6,10 @@
 //!
 //! * *What power does device R receive from transmission T?* — path loss
 //!   with a static per-link shadowing realisation plus a per-(transmission,
-//!   observer) fading draw. The fading draw is cached, so repeated queries
-//!   about the same pair are consistent (the CCA check and the CSI model
-//!   see the same channel).
+//!   observer) fading draw. The fading draw is stored with its
+//!   transmission, so repeated queries about the same pair are consistent
+//!   (the CCA check and the CSI model see the same channel) and the draws
+//!   leave with the transmission when it ends.
 //! * *How much in-band energy does device R sense right now?* — the linear
 //!   sum of all overlapping transmissions, weighted by spectral overlap
 //!   with R's listening band.
@@ -228,6 +229,14 @@ pub struct Medium {
     /// reads these (time window, source slot, hearing radius, grid cell)
     /// without pulling the full `Transmission` into cache.
     hot: Vec<TxHot>,
+    /// Per-transmission fading draws, parallel to `active`: the
+    /// `(observer, dB)` realisations drawn so far for the transmission at
+    /// the same slab index. Ending a transmission `swap_remove`s its list
+    /// with the slab, so teardown never scans other transmissions' draws.
+    fading: Vec<Vec<(DeviceId, f64)>>,
+    /// Cleared fading lists of ended transmissions, reused by
+    /// `begin_transmission` so begin/end churn does not allocate.
+    fading_free: Vec<Vec<(DeviceId, f64)>>,
     /// Uniform grid over device positions: cell key → member
     /// transmissions (those whose hearing radius fits one cell).
     grid: FastMap<u64, Vec<TxId>>,
@@ -243,8 +252,6 @@ pub struct Medium {
     /// Static shadowing per unordered device pair, dB. The source of
     /// truth for realisations; `link_cache` only mirrors it.
     shadowing: HashMap<(DeviceId, DeviceId), f64>,
-    /// Per-(transmission, observer) fading, dB.
-    fading: FastMap<(TxId, DeviceId), f64>,
     /// Memoized `(path-loss dB, shadowing dB)` per directed
     /// `(source, observer)` pair at the devices' *current* positions.
     /// Invalidated whenever either endpoint moves.
@@ -296,13 +303,12 @@ pub struct MediumGridStats {
 /// Hot per-transmission fields, parallel to `Medium::active`.
 ///
 /// Queries (`sensed_power`, `interference_against`) read *only* this
-/// array plus `ids` per candidate — duplicating `id`/`power`/`band`
-/// here keeps the fat `Transmission` slab (with its payload) out of the
+/// array plus `ids` per candidate — duplicating `power`/`band` here
+/// keeps the fat `Transmission` slab (with its payload) out of the
 /// query working set, which is what keeps per-query cost flat at 10k+
 /// devices.
 #[derive(Debug, Clone, Copy)]
 struct TxHot {
-    id: TxId,
     start: SimTime,
     end: SimTime,
     source: DeviceId,
@@ -352,6 +358,8 @@ impl Medium {
             active: Vec::with_capacity(16),
             slab: FastMap::with_capacity_and_hasher(16, BuildHasherDefault::default()),
             hot: Vec::with_capacity(16),
+            fading: Vec::with_capacity(16),
+            fading_free: Vec::new(),
             grid: FastMap::with_capacity_and_hasher(64, BuildHasherDefault::default()),
             loud: Vec::new(),
             cell_size_m,
@@ -359,7 +367,6 @@ impl Medium {
             grid_stats: MediumGridStats::default(),
             next_tx: 0,
             shadowing: HashMap::new(),
-            fading: FastMap::with_capacity_and_hasher(64, BuildHasherDefault::default()),
             link_cache: FastMap::with_capacity_and_hasher(64, BuildHasherDefault::default()),
             band_overlap: Vec::with_capacity(BAND_MEMO_CAP),
             stats: MediumCacheStats::default(),
@@ -505,7 +512,6 @@ impl Medium {
             self.grid.entry(cell).or_default().push(id);
         }
         self.hot.push(TxHot {
-            id,
             start,
             end,
             source,
@@ -516,6 +522,7 @@ impl Medium {
             cell,
             loud,
         });
+        self.fading.push(self.fading_free.pop().unwrap_or_default());
         id
     }
 
@@ -537,6 +544,9 @@ impl Medium {
         self.slab.remove(&id);
         let tx = self.active.swap_remove(idx);
         let h = self.hot.swap_remove(idx);
+        let mut draws = self.fading.swap_remove(idx);
+        draws.clear();
+        self.fading_free.push(draws);
         // The former tail now lives at `idx`; repoint its index entry.
         if let Some(moved) = self.active.get(idx) {
             self.slab.insert(moved.id, idx as u32);
@@ -558,8 +568,6 @@ impl Medium {
                 .expect("grid member desync");
             members.swap_remove(at);
         }
-        // Drop the fading cache entries for this transmission.
-        self.fading.retain(|(t, _), _| *t != id);
         tx
     }
 
@@ -592,15 +600,17 @@ impl Medium {
             .or_insert_with(|| normal(rng, 0.0, sigma))
     }
 
-    /// The fading offset (dB) a given observer experiences for a given
-    /// transmission; drawn once and cached.
-    fn tx_fading(&mut self, tx: TxId, observer: DeviceId) -> f64 {
-        let sigma = self.config.fading_sigma_db;
-        let rng = &mut self.fading_rng;
-        *self
-            .fading
-            .entry((tx, observer))
-            .or_insert_with(|| normal(rng, 0.0, sigma))
+    /// The fading offset (dB) `observer` experiences for the transmission
+    /// at slab index `idx`; drawn on first use and stored with the
+    /// transmission.
+    fn tx_fading(&mut self, idx: usize, observer: DeviceId) -> f64 {
+        let draws = &mut self.fading[idx];
+        if let Some(&(_, db)) = draws.iter().find(|(o, _)| *o == observer) {
+            return db;
+        }
+        let db = normal(&mut self.fading_rng, 0.0, self.config.fading_sigma_db);
+        draws.push((observer, db));
+        db
     }
 
     /// The memoized `(path-loss dB, shadowing dB)` budget of the directed
@@ -730,7 +740,7 @@ impl Medium {
     fn budget_power(&mut self, idx: usize, observer: DeviceId) -> Dbm {
         let h = self.hot[idx];
         let (pl_db, shadow) = self.link_budget(h.source, observer);
-        let fading = self.tx_fading(h.id, observer);
+        let fading = self.tx_fading(idx, observer);
         (h.power - pl_db) + shadow + fading
     }
 
@@ -1606,14 +1616,24 @@ mod tests {
         );
         assert_eq!(m.received_power(id, far), Dbm::FLOOR);
         assert!(
-            m.fading.is_empty() && m.shadowing.is_empty(),
+            m.fading.iter().all(Vec::is_empty) && m.shadowing.is_empty(),
             "culled links must not consume the lazy RNG streams"
+        );
+        // A fresh medium on the same seed has drawn nothing either: the
+        // fading stream must be at the same position.
+        let mut twin = Medium::new(aggressive(), 3);
+        assert_eq!(
+            m.fading_draw(1.0).to_bits(),
+            twin.fading_draw(1.0).to_bits(),
+            "culled links must not advance the fading stream"
         );
         let stats = m.grid_stats();
         assert!(stats.tx_culled > 0, "far observer must cull at grid level");
-        // The near observer hears the transmission normally.
+        // The near observer hears the transmission normally, and its draw
+        // is stored with the transmission.
         assert!(m.sensed_power(near, &wifi_band(), now, None).value() > 0.0);
-        assert!(!m.fading.is_empty());
+        assert_eq!(m.fading[0].len(), 1);
+        assert_eq!(m.fading[0][0].0, near);
     }
 
     #[test]
@@ -1781,7 +1801,70 @@ mod tests {
         let a = mk(&mut m, 0);
         let _pa = m.received_power(a, DeviceId::new(1));
         m.end_transmission(a);
-        assert!(m.fading.is_empty(), "fading cache leaks");
+        assert!(
+            m.fading.is_empty(),
+            "fading draws outlive their transmission"
+        );
+        assert_eq!(m.fading_free.len(), 1, "the ended list must be recycled");
+        assert!(m.fading_free[0].is_empty(), "recycled list must be cleared");
+        // The next transmission reuses the list and inherits no draws.
+        let b = mk(&mut m, 2);
+        assert!(m.fading_free.is_empty(), "begin must pop the free list");
+        assert!(m.fading[0].is_empty(), "new transmission inherited draws");
+        let _pb = m.received_power(b, DeviceId::new(1));
+        assert_eq!(m.fading[0].len(), 1);
         let _ = SimDuration::ZERO;
+    }
+
+    #[test]
+    fn ending_a_transmission_keeps_the_survivors_draws() {
+        let band = wifi_band();
+        let observers = [DeviceId::new(1), DeviceId::new(2)];
+        let begin_three = |m: &mut Medium| -> Vec<TxId> {
+            (0..3u64)
+                .map(|s| {
+                    m.begin_transmission(
+                        DeviceId::new(0),
+                        Dbm::new(20.0),
+                        band,
+                        SimTime::from_millis(s),
+                        SimTime::from_millis(s + 5),
+                        Payload::Noise,
+                    )
+                })
+                .collect()
+        };
+        let query = |m: &mut Medium, ids: &[TxId]| -> Vec<u64> {
+            let mut bits = Vec::new();
+            for &id in ids {
+                for obs in observers {
+                    bits.push(m.received_power(id, obs).value().to_bits());
+                }
+            }
+            bits
+        };
+        let mut m = setup();
+        let ids = begin_three(&mut m);
+        let first = query(&mut m, &ids);
+        let mut twin = setup();
+        let twin_ids = begin_three(&mut twin);
+        assert_eq!(query(&mut twin, &twin_ids), first);
+
+        // Ending the first transmission moves the tail into its slot.
+        m.end_transmission(ids[0]);
+        assert_eq!(m.slab_index(ids[2]), Some(0));
+        assert_eq!(m.slab_index(ids[1]), Some(1));
+        assert_eq!(
+            query(&mut m, &ids[1..]),
+            first[2..],
+            "surviving transmissions must keep their fading draws"
+        );
+        // No draw was repeated (the stream would be ahead of the twin's)
+        // or skipped (it would be behind).
+        assert_eq!(
+            m.fading_draw(1.0).to_bits(),
+            twin.fading_draw(1.0).to_bits(),
+            "teardown shifted the fading stream"
+        );
     }
 }

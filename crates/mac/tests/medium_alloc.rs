@@ -2,13 +2,15 @@
 //! state.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after a
-//! warm-up pass has populated the link-budget cache, the fading map, and
-//! the band-overlap memo, repeated `sensed_power` /
+//! warm-up pass has populated the link-budget cache, the per-transmission
+//! fading lists, and the band-overlap memo, repeated `sensed_power` /
 //! `interference_against` / `overlapping_into` calls must perform zero
-//! heap allocations. The counter is thread-local (const-initialised, so
-//! reading it never allocates): the libtest harness thread occasionally
-//! allocates while a test runs, and a process-global counter would pick
-//! that noise up as a spurious failure.
+//! heap allocations, and so must begin/query/end churn once the medium
+//! has recycled enough fading lists. The counter is thread-local
+//! (const-initialised, so reading it never allocates): the libtest
+//! harness thread occasionally allocates while a test runs, and a
+//! process-global counter would pick that noise up as a spurious
+//! failure.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -88,7 +90,7 @@ fn steady_state_queries_do_not_allocate() {
     }
     let now = SimTime::from_micros(500);
 
-    // Warm-up: populate the link cache, fading map, and band memo for
+    // Warm-up: populate the link cache, fading lists, and band memo for
     // every (transmission, observer, band) combination the loop below
     // touches, and grow the overlap scratch to its steady-state size.
     let mut scratch: Vec<Transmission> = Vec::new();
@@ -209,5 +211,64 @@ fn steady_state_queries_do_not_allocate() {
         0,
         "culled medium queries allocated {} times in steady state",
         culled_after - culled_before
+    );
+}
+
+#[test]
+fn begin_query_end_churn_does_not_allocate() {
+    let mut medium = Medium::new(ChannelConfig::default(), 7);
+    // Devices 0–3 observe, devices 4–11 take turns transmitting.
+    for i in 0..12u32 {
+        medium.add_device(
+            DeviceId::new(i),
+            Point::new(f64::from(i) * 2.0, f64::from(i % 3)),
+        );
+    }
+    let observers = [0u32, 1, 2, 3].map(DeviceId::new);
+    let wifi = Band::centered(2462.0, 20.0);
+    let now = SimTime::from_micros(500);
+    let mut live: Vec<TxId> = Vec::with_capacity(8);
+
+    // One cycle: a new transmission goes on air, several observers sense
+    // the channel (drawing fading for every live transmission they have
+    // not seen yet), and the middle transmission ends, so the slab tail
+    // moves into its slot.
+    let cycle = |medium: &mut Medium, live: &mut Vec<TxId>, k: u32| {
+        live.push(medium.begin_transmission(
+            DeviceId::new(4 + k % 8),
+            Dbm::new(10.0),
+            wifi,
+            SimTime::ZERO,
+            SimTime::from_secs(1),
+            Payload::Noise,
+        ));
+        for &obs in &observers {
+            assert!(medium.sensed_power(obs, &wifi, now, None).value() > 0.0);
+        }
+        if live.len() >= 5 {
+            let id = live.remove(live.len() / 2);
+            medium.end_transmission(id);
+        }
+    };
+
+    // Warm-up: every (source, observer) link budget is cached, the band
+    // memo is filled, and every recycled fading list has grown to hold one
+    // draw per observer.
+    for k in 0..64 {
+        cycle(&mut medium, &mut live, k);
+    }
+
+    let before = allocations();
+    for k in 64..1064 {
+        cycle(&mut medium, &mut live, k);
+    }
+    let after = allocations();
+    assert_eq!(medium.active_count(), live.len());
+
+    assert_eq!(
+        after - before,
+        0,
+        "begin/query/end churn allocated {} times in steady state",
+        after - before
     );
 }
