@@ -29,6 +29,7 @@
 use std::fmt::Write as _;
 
 use bicord_metrics::table::{fmt1, TextTable};
+use bicord_sim::json::{self, Json};
 
 /// Default regression threshold for the latency rules, percent.
 pub const DEFAULT_THRESHOLD_PCT: f64 = 25.0;
@@ -48,7 +49,7 @@ pub struct BenchEntry {
     pub quick: bool,
     /// `"K/N"` for shard-tagged records, `None` for unsharded ones.
     pub shard: Option<String>,
-    /// The raw single-line record, for `--bless` passthrough.
+    /// The record in the recorder's single-line layout, for `--bless`.
     pub line: String,
     /// The flat metrics map (non-finite values dropped).
     pub metrics: Vec<(String, f64)>,
@@ -75,75 +76,50 @@ impl BenchEntry {
     }
 }
 
-/// Extracts the string value of `"key": "…"` from a record line.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\": \"");
-    let start = line.find(&marker)? + marker.len();
-    let rest = &line[start..];
-    Some(rest[..rest.find('"')?].to_string())
+/// Parses a results file: a JSON array of records, as
+/// `PerfRecorder::merge_record` writes it. Any valid JSON layout is
+/// read; a record lacking `experiment`, `quick` or `metrics`, or with a
+/// field of the wrong type, is an error naming the record. `null`
+/// (non-finite) metrics are dropped.
+pub fn parse_bench_file(text: &str) -> Result<Vec<BenchEntry>, String> {
+    let doc = json::parse(text)?;
+    let records = doc.as_array().ok_or("not a JSON array of records")?;
+    records
+        .iter()
+        .enumerate()
+        .map(|(i, record)| bench_entry(record).map_err(|e| format!("record {}: {e}", i + 1)))
+        .collect()
 }
 
-/// Extracts the boolean value of `"key": true|false` from a record line.
-fn field_bool(line: &str, key: &str) -> Option<bool> {
-    let marker = format!("\"{key}\": ");
-    let start = line.find(&marker)? + marker.len();
-    let rest = &line[start..];
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// Parses the flat `"metrics": {…}` map at the end of a record line.
-/// Entries with non-finite (`null`) values are skipped.
-fn parse_metrics(line: &str) -> Vec<(String, f64)> {
-    let Some(start) = line.find("\"metrics\": {") else {
-        return Vec::new();
+fn bench_entry(record: &Json) -> Result<BenchEntry, String> {
+    let field = |key: &str| record.get(key).ok_or_else(|| format!("no \"{key}\" field"));
+    let experiment = field("experiment")?
+        .as_str()
+        .ok_or("\"experiment\" is not a string")?;
+    let Json::Bool(quick) = field("quick")? else {
+        return Err("\"quick\" is not a bool".to_string());
     };
-    let body = &line[start + "\"metrics\": {".len()..];
-    // First `}` closes the metrics map (values are plain numbers or
-    // `null`); the record's own closing brace follows it.
-    let Some(end) = body.find('}') else {
-        return Vec::new();
+    let shard = match record.get("shard") {
+        None => None,
+        Some(s) => Some(s.as_str().ok_or("\"shard\" is not a string")?.to_string()),
     };
-    let mut out = Vec::new();
-    for pair in body[..end].split(", \"") {
-        let pair = pair.trim_start_matches('"');
-        let Some((name, value)) = pair.split_once("\": ") else {
-            continue;
-        };
-        if let Ok(v) = value.trim().parse::<f64>() {
-            out.push((name.to_string(), v));
-        }
-    }
-    out
-}
-
-/// Parses every record line of a results file (the format
-/// `PerfRecorder::merge_record` writes: one JSON object per line inside a
-/// `[` … `]` array).
-pub fn parse_bench_file(text: &str) -> Vec<BenchEntry> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if !line.starts_with('{') {
-            continue;
-        }
-        let Some(experiment) = field_str(line, "experiment") else {
-            continue;
-        };
-        out.push(BenchEntry {
-            experiment,
-            quick: field_bool(line, "quick").unwrap_or(false),
-            shard: field_str(line, "shard"),
-            line: line.to_string(),
-            metrics: parse_metrics(line),
-        });
-    }
-    out
+    let metrics = field("metrics")?
+        .as_object()
+        .ok_or("\"metrics\" is not an object")?
+        .iter()
+        .filter(|(_, value)| *value != Json::Null)
+        .map(|(name, value)| match value.as_f64() {
+            Some(v) => Ok((name.clone(), v)),
+            None => Err(format!("metric \"{name}\" is not a number")),
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(BenchEntry {
+        experiment: experiment.to_string(),
+        quick: *quick,
+        shard,
+        line: record.to_string(),
+        metrics,
+    })
 }
 
 /// The check a [`BudgetRule`] applies.
@@ -249,53 +225,64 @@ pub fn default_rules(threshold_pct: f64) -> Vec<BudgetRule> {
     ]
 }
 
-/// Parses a JSON rules file: an array of flat objects with string fields
+/// The keys a rule object may hold.
+const RULE_KEYS: [&str; 5] = ["experiment", "metric", "exclude", "rule", "limit"];
+
+/// Parses a JSON rules file: an array of objects with string fields
 /// `experiment`, `metric`, optional `exclude`, `rule` (one of
 /// `max_regression_pct` / `max_drop_pct` / `max_value`) and a numeric
-/// `limit`. See `docs/ANALYTICS.md` for examples.
+/// `limit`. Any other key is an error, so a misspelt filter cannot
+/// silently gate nothing. See `docs/ANALYTICS.md` for examples.
 pub fn parse_rules(text: &str) -> Result<Vec<BudgetRule>, String> {
-    let mut rules = Vec::new();
-    let mut rest = text;
-    while let Some(start) = rest.find('{') {
-        let end = rest[start..].find('}').ok_or("unterminated rule object")? + start;
-        let body = &rest[start + 1..end];
-        rest = &rest[end + 1..];
-        let field = |name: &str| -> Option<String> {
-            let marker = format!("\"{name}\"");
-            let at = body.find(&marker)? + marker.len();
-            let after = body[at..].trim_start().strip_prefix(':')?.trim_start();
-            if let Some(stripped) = after.strip_prefix('"') {
-                Some(stripped[..stripped.find('"')?].to_string())
-            } else {
-                let value: String = after
-                    .chars()
-                    .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == '+')
-                    .collect();
-                (!value.is_empty()).then_some(value)
-            }
-        };
-        let kind_name = field("rule").ok_or("rule object lacks a \"rule\" field")?;
-        let kind = RuleKind::parse(&kind_name).ok_or_else(|| {
-            format!(
-                "unknown rule kind \"{kind_name}\" (valid: max_regression_pct, \
-                 max_drop_pct, max_value)"
-            )
-        })?;
-        let limit = field("limit")
-            .and_then(|v| v.parse().ok())
-            .ok_or("rule object lacks a numeric \"limit\" field")?;
-        rules.push(BudgetRule {
-            experiment: field("experiment").unwrap_or_default(),
-            metric: field("metric").unwrap_or_default(),
-            exclude: field("exclude").unwrap_or_default(),
-            kind,
-            limit,
-        });
-    }
-    if rules.is_empty() {
+    let doc = json::parse(text)?;
+    let objects = doc.as_array().ok_or("not a JSON array of rule objects")?;
+    if objects.is_empty() {
         return Err("rules file holds no rule objects".to_string());
     }
-    Ok(rules)
+    objects
+        .iter()
+        .enumerate()
+        .map(|(i, rule)| budget_rule(rule).map_err(|e| format!("rule {}: {e}", i + 1)))
+        .collect()
+}
+
+fn budget_rule(rule: &Json) -> Result<BudgetRule, String> {
+    let fields = rule.as_object().ok_or("not a JSON object")?;
+    if let Some((key, _)) = fields
+        .iter()
+        .find(|(k, _)| !RULE_KEYS.contains(&k.as_str()))
+    {
+        return Err(format!(
+            "unknown key \"{key}\" (valid: {})",
+            RULE_KEYS.join(", ")
+        ));
+    }
+    let text = |key: &str| match rule.get(key) {
+        None => Ok(String::new()),
+        Some(Json::Str(s)) => Ok(s.clone()),
+        Some(_) => Err(format!("\"{key}\" is not a string")),
+    };
+    let kind_name = rule
+        .get("rule")
+        .and_then(Json::as_str)
+        .ok_or("rule object lacks a \"rule\" string")?;
+    let kind = RuleKind::parse(kind_name).ok_or_else(|| {
+        format!(
+            "unknown rule kind \"{kind_name}\" (valid: max_regression_pct, \
+             max_drop_pct, max_value)"
+        )
+    })?;
+    let limit = rule
+        .get("limit")
+        .and_then(Json::as_f64)
+        .ok_or("rule object lacks a numeric \"limit\" field")?;
+    Ok(BudgetRule {
+        experiment: text("experiment")?,
+        metric: text("metric")?,
+        exclude: text("exclude")?,
+        kind,
+        limit,
+    })
 }
 
 /// The verdict for one gated metric.
@@ -577,7 +564,7 @@ mod tests {
          \"metrics\": {\"mean_aggregate_pdr\": 0.92, \"quarantined_cells\": 0}}";
 
     fn file(lines: &[&str]) -> Vec<BenchEntry> {
-        parse_bench_file(&format!("[\n{}\n]\n", lines.join(",\n")))
+        parse_bench_file(&format!("[\n{}\n]\n", lines.join(",\n"))).unwrap()
     }
 
     #[test]
@@ -710,6 +697,33 @@ mod tests {
         assert!(parse_rules("[]").is_err());
         assert!(parse_rules("[{\"rule\": \"warp\", \"limit\": 1}]").is_err());
         assert!(parse_rules("[{\"metric\": \"x\"}]").is_err());
+        let misspelt = parse_rules(
+            "[{\"metric\": \"_ns\", \"exlude\": \"nocull\", \
+             \"rule\": \"max_value\", \"limit\": 1}]",
+        )
+        .unwrap_err();
+        assert!(
+            misspelt.contains("rule 1") && misspelt.contains("exlude"),
+            "{misspelt}"
+        );
+    }
+
+    #[test]
+    fn malformed_results_are_errors_not_empty_files() {
+        assert!(parse_bench_file("").is_err());
+        assert!(parse_bench_file("{}").unwrap_err().contains("array"));
+        let no_quick = "[{\"experiment\": \"x\", \"metrics\": {}}]";
+        let err = parse_bench_file(no_quick).unwrap_err();
+        assert!(err.contains("record 1") && err.contains("quick"), "{err}");
+        let text_metric = LINE.replace("236.2", "\"fast\"");
+        let err = parse_bench_file(&format!("[{text_metric}]")).unwrap_err();
+        assert!(err.contains("sensed_ns_100"), "{err}");
+    }
+
+    #[test]
+    fn entry_lines_render_in_the_recorder_layout() {
+        let compact = SHARDED.replace("\": ", "\":").replace(", \"", ",\"");
+        assert_eq!(file(&[&compact])[0].line, SHARDED);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! A trace file (written by `JsonlSink`, see `docs/OBSERVABILITY.md`) is
 //! one [`TraceHeader`] line, zero or more flat single-line event records,
 //! and a `{"summary":true,...}` trailer. This module reads the whole file
-//! into a [`TraceFile`]: every record becomes a [`Record`] whose fields
-//! keep their JSON names and primitive values, so the analytics layer
-//! never re-parses text.
+//! into a [`TraceFile`]: every line goes through [`json::parse`], so any
+//! valid JSON layout of a record reads the same, and every record becomes
+//! a [`Record`] whose fields keep their JSON names and primitive values,
+//! so the analytics layer never re-parses text.
 //!
 //! Parsing is **closed-world**: every `ev` kind must be listed in
 //! [`KNOWN_KINDS`]. An unknown kind is a hard [`TraceError::UnknownKind`]
@@ -18,6 +19,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
+use bicord_sim::json::{self, Json};
 use bicord_sim::obs::TraceHeader;
 
 /// Every record kind the `bicord-trace/1` sinks emit, in taxonomy order
@@ -81,16 +83,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Re-serializes the value exactly as the sink wrote it.
-    pub fn to_json(&self) -> String {
-        match self {
-            Value::U64(v) => v.to_string(),
-            Value::F64(v) => v.to_string(),
-            Value::Bool(v) => v.to_string(),
-            Value::Str(s) => format!("\"{s}\""),
-        }
-    }
 }
 
 /// One parsed event record.
@@ -143,7 +135,8 @@ pub enum TraceError {
     Io(std::io::Error),
     /// Line 1 is not a `bicord-trace/1` header.
     BadHeader,
-    /// A record line is not flat single-line JSON of the expected shape.
+    /// A record line is not a single-line JSON object of the expected
+    /// shape.
     BadRecord {
         /// 1-based line number.
         line: usize,
@@ -212,11 +205,21 @@ impl TraceFile {
             if line.is_empty() {
                 continue;
             }
-            if line.contains("\"summary\":true") {
-                summary = Some(parse_summary(line, line_no)?);
+            let bad = |reason: String| TraceError::BadRecord {
+                line: line_no,
+                reason,
+            };
+            let Json::Obj(fields) = json::parse(line).map_err(bad)? else {
+                return Err(bad("not a JSON object".to_string()));
+            };
+            if fields
+                .iter()
+                .any(|(k, v)| k == "summary" && *v == Json::Bool(true))
+            {
+                summary = Some(parse_summary(&fields).map_err(bad)?);
                 continue;
             }
-            records.push(parse_record(line, line_no)?);
+            records.push(parse_record(fields, line_no)?);
         }
         Ok(TraceFile {
             header,
@@ -243,103 +246,69 @@ impl TraceFile {
     }
 }
 
-/// Splits a flat single-line JSON object (`{"a":1,"b":"x"}`) into
-/// `(name, raw-value)` pairs. The sinks never emit nested objects,
-/// arrays (other than the summary's `dequeues` map, handled separately),
-/// escapes, or whitespace, so a linear scan suffices.
-fn split_flat_object(line: &str) -> Option<Vec<(&str, &str)>> {
-    let body = line.strip_prefix('{')?.strip_suffix('}')?;
-    let mut out = Vec::new();
-    let mut rest = body;
-    while !rest.is_empty() {
-        rest = rest.strip_prefix('"')?;
-        let name_end = rest.find('"')?;
-        let name = &rest[..name_end];
-        rest = rest[name_end + 1..].strip_prefix(':')?;
-        let value_end = if let Some(quoted) = rest.strip_prefix('"') {
-            quoted.find('"')? + 2
-        } else {
-            rest.find(',').unwrap_or(rest.len())
-        };
-        out.push((name, &rest[..value_end]));
-        rest = &rest[value_end..];
-        rest = rest.strip_prefix(',').unwrap_or(rest);
-    }
-    Some(out)
-}
-
-/// Parses one raw JSON value the sinks can emit.
-fn parse_value(raw: &str) -> Option<Value> {
-    if let Some(stripped) = raw.strip_prefix('"') {
-        return Some(Value::Str(stripped.strip_suffix('"')?.to_string()));
-    }
-    match raw {
-        "true" => return Some(Value::Bool(true)),
-        "false" => return Some(Value::Bool(false)),
-        _ => {}
-    }
-    if let Ok(v) = raw.parse::<u64>() {
-        return Some(Value::U64(v));
-    }
-    raw.parse::<f64>().ok().map(Value::F64)
-}
-
-fn parse_record(line: &str, line_no: usize) -> Result<Record, TraceError> {
-    let bad = |reason: &str| TraceError::BadRecord {
+/// Converts one parsed record object. The fields go into a fresh `Vec`
+/// sized to hold them, so a [`TraceFile`] keeps no slack from parsing.
+fn parse_record(fields: Vec<(String, Json)>, line_no: usize) -> Result<Record, TraceError> {
+    let bad = |reason: String| TraceError::BadRecord {
         line: line_no,
-        reason: reason.to_string(),
+        reason,
     };
-    let pairs = split_flat_object(line).ok_or_else(|| bad("not a flat JSON object"))?;
     let mut t_us = None;
     let mut kind = None;
-    let mut fields = Vec::new();
-    for (name, raw) in pairs {
-        let value = parse_value(raw)
-            .ok_or_else(|| bad(&format!("field \"{name}\" has unparseable value {raw}")))?;
-        match name {
-            "t_us" => t_us = value.as_u64(),
-            "ev" => kind = value.as_str().map(str::to_string),
-            _ => fields.push((name.to_string(), value)),
+    let mut extra = Vec::with_capacity(fields.len().saturating_sub(2));
+    for (name, json) in fields {
+        let value = match json {
+            Json::Str(s) => Value::Str(s),
+            Json::Bool(b) => Value::Bool(b),
+            json => match (json.as_u64(), json.as_f64()) {
+                (Some(n), _) => Value::U64(n),
+                (None, Some(x)) => Value::F64(x),
+                (None, None) => {
+                    return Err(bad(format!(
+                        "field \"{name}\" holds a {}, not a primitive value",
+                        json.kind_name()
+                    )))
+                }
+            },
+        };
+        match (name.as_str(), value) {
+            ("t_us", value) => t_us = value.as_u64(),
+            ("ev", Value::Str(s)) => kind = Some(s),
+            ("ev", _) => {}
+            (_, value) => extra.push((name, value)),
         }
     }
-    let t_us = t_us.ok_or_else(|| bad("missing integer \"t_us\""))?;
-    let kind = kind.ok_or_else(|| bad("missing string \"ev\""))?;
+    let t_us = t_us.ok_or_else(|| bad("missing integer \"t_us\"".to_string()))?;
+    let kind = kind.ok_or_else(|| bad("missing string \"ev\"".to_string()))?;
     if !KNOWN_KINDS.contains(&kind.as_str()) {
         return Err(TraceError::UnknownKind {
             line: line_no,
             kind,
         });
     }
-    Ok(Record { t_us, kind, fields })
+    Ok(Record {
+        t_us,
+        kind,
+        fields: extra,
+    })
 }
 
-fn parse_summary(line: &str, line_no: usize) -> Result<TraceSummary, TraceError> {
-    let bad = |reason: &str| TraceError::BadRecord {
-        line: line_no,
-        reason: reason.to_string(),
-    };
+/// Converts the parsed `{"summary":true,...}` trailer object.
+fn parse_summary(fields: &[(String, Json)]) -> Result<TraceSummary, String> {
     let mut summary = TraceSummary::default();
-    let events_marker = "\"events\":";
-    if let Some(start) = line.find(events_marker) {
-        let digits: String = line[start + events_marker.len()..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect();
-        summary.events = digits.parse().map_err(|_| bad("bad \"events\" count"))?;
-    }
-    let dequeues_marker = "\"dequeues\":{";
-    if let Some(start) = line.find(dequeues_marker) {
-        let body = &line[start + dequeues_marker.len()..];
-        let end = body
-            .find('}')
-            .ok_or_else(|| bad("unterminated dequeues map"))?;
-        for pair in body[..end].split(',').filter(|p| !p.is_empty()) {
-            let (name, count) = pair
-                .split_once(':')
-                .ok_or_else(|| bad("malformed dequeues entry"))?;
-            let name = name.trim_matches('"').to_string();
-            let count = count.parse().map_err(|_| bad("bad dequeue count"))?;
-            summary.dequeues.insert(name, count);
+    for (name, value) in fields {
+        match name.as_str() {
+            "events" => summary.events = value.as_u64().ok_or("bad \"events\" count")?,
+            "dequeues" => {
+                let map = value.as_object().ok_or("\"dequeues\" is not an object")?;
+                for (kind, n) in map {
+                    let n = n
+                        .as_u64()
+                        .ok_or_else(|| format!("bad dequeue count for \"{kind}\""))?;
+                    summary.dequeues.insert(kind.clone(), n);
+                }
+            }
+            _ => {}
         }
     }
     Ok(summary)
@@ -429,9 +398,38 @@ mod tests {
     }
 
     #[test]
-    fn value_json_round_trip() {
-        for raw in ["12", "0.25", "true", "false", "\"learning\""] {
-            assert_eq!(parse_value(raw).unwrap().to_json(), raw);
-        }
+    fn escaped_quotes_in_strings_are_unescaped() {
+        let text = "{\"schema\":\"bicord-trace/1\",\"seed\":1,\"mode\":\"x\",\"duration_us\":1}\n\
+                    {\"t_us\":5,\"ev\":\"csma_fallback\",\"reason\":\"a \\\"b\\\" c\"}\n";
+        let t = TraceFile::parse(text).unwrap();
+        assert_eq!(
+            t.records[0].field("reason").unwrap().as_str(),
+            Some("a \"b\" c")
+        );
+    }
+
+    #[test]
+    fn respaced_lines_parse_like_compact_ones() {
+        let respaced = SAMPLE.replace("\":", "\": ").replace(",\"", ", \"");
+        let a = TraceFile::parse(SAMPLE).unwrap();
+        let b = TraceFile::parse(&respaced).unwrap();
+        assert_eq!(a.header, b.header);
+        assert_eq!(a.records, b.records);
+        assert_eq!(a.summary, b.summary);
+    }
+
+    #[test]
+    fn nested_values_and_summary_markers_in_strings_are_not_misread() {
+        let header =
+            "{\"schema\":\"bicord-trace/1\",\"seed\":1,\"mode\":\"x\",\"duration_us\":1}\n";
+        let nested = format!("{header}{{\"t_us\":5,\"ev\":\"reservation\",\"ws_us\":[1]}}\n");
+        let err = TraceFile::parse(&nested).unwrap_err().to_string();
+        assert!(err.contains("ws_us") && err.contains("array"), "{err}");
+        let marker = format!(
+            "{header}{{\"t_us\":5,\"ev\":\"csma_fallback\",\"reason\":\"\\\"summary\\\":true\"}}\n"
+        );
+        let t = TraceFile::parse(&marker).unwrap();
+        assert_eq!(t.records.len(), 1);
+        assert!(t.summary.is_none());
     }
 }

@@ -46,6 +46,7 @@ pub use cli::BenchCli;
 use std::time::Instant;
 
 use bicord_metrics::TextTable;
+use bicord_sim::json::{self, Json};
 use bicord_sim::SimDuration;
 
 /// `true` when the binary was invoked with `--quick`.
@@ -245,104 +246,61 @@ impl PerfRecorder {
             Err(_) => std::path::PathBuf::from("BENCH_results.json"),
         };
         let wall_ms = self.started.elapsed().as_secs_f64() * 1e3;
-        let record = self.to_json_line(wall_ms, quick_mode(), bicord_sim::par::num_threads());
-        if let Err(e) = merge_record(&path, &self.experiment, quick_mode(), self.shard, &record) {
+        let record = self.record(wall_ms, quick_mode(), bicord_sim::par::num_threads());
+        if let Err(e) = merge_record(&path, record) {
             eprintln!("warning: could not write {}: {e}", path.display());
         } else {
             eprintln!("recorded perf entry in {}", path.display());
         }
     }
 
-    fn to_json_line(&self, wall_ms: f64, quick: bool, threads: usize) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "{{\"experiment\": {}, \"quick\": {}, {}\"threads\": {}, \"cells\": {}, \"wall_ms\": {}, \"metrics\": {{",
-            json_string(&self.experiment),
-            quick,
-            shard_field(self.shard),
-            threads,
-            self.cells,
-            json_number(wall_ms),
-        ));
-        for (i, (name, value)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("{}: {}", json_string(name), json_number(*value)));
+    /// The record as one JSON object; its `Display` is the file's
+    /// single-line layout.
+    fn record(&self, wall_ms: f64, quick: bool, threads: usize) -> Json {
+        let mut fields = vec![
+            ("experiment".to_string(), Json::Str(self.experiment.clone())),
+            ("quick".to_string(), Json::Bool(quick)),
+        ];
+        if let Some(shard) = self.shard {
+            fields.push(("shard".to_string(), Json::Str(shard.to_string())));
         }
-        s.push_str("}}");
-        s
+        let metrics = self
+            .metrics
+            .iter()
+            .map(|(name, value)| (name.clone(), Json::Float(*value)))
+            .collect();
+        fields.extend([
+            ("threads".to_string(), Json::Int(threads as i64)),
+            ("cells".to_string(), Json::Int(self.cells as i64)),
+            ("wall_ms".to_string(), Json::Float(wall_ms)),
+            ("metrics".to_string(), Json::Obj(metrics)),
+        ]);
+        Json::Obj(fields)
     }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// The optional `"shard": "K/N", ` segment emitted right after `quick`.
-fn shard_field(shard: Option<bicord_sweep::Shard>) -> String {
-    match shard {
-        Some(s) => format!("\"shard\": {}, ", json_string(&s.to_string())),
-        None => String::new(),
-    }
-}
-
-/// Rewrites the results array, replacing any existing entry for
-/// `(experiment, quick, shard)` with `record`. Relies on every element
-/// being on its own line, which is how this module always writes the
-/// file. The marker includes the key that follows the optional `shard`
-/// field (`"threads"` for unsharded records), so an unsharded record
-/// never matches — and never overwrites — a sharded one for the same
-/// experiment, and vice versa.
-fn merge_record(
-    path: &std::path::Path,
-    experiment: &str,
-    quick: bool,
-    shard: Option<bicord_sweep::Shard>,
-    record: &str,
-) -> std::io::Result<()> {
-    let marker = format!(
-        "{{\"experiment\": {}, \"quick\": {}, {}\"threads\":",
-        json_string(experiment),
-        quick,
-        shard_field(shard),
-    );
-    let mut entries: Vec<String> = Vec::new();
-    if let Ok(existing) = std::fs::read_to_string(path) {
-        for line in existing.lines() {
-            let line = line.trim().trim_end_matches(',');
-            if line.starts_with('{') && !line.starts_with(&marker) {
-                entries.push(line.to_string());
-            }
-        }
-    }
-    entries.push(record.to_string());
-    let mut out = String::from("[\n");
-    out.push_str(&entries.join(",\n"));
-    out.push_str("\n]\n");
-    std::fs::write(path, out)
+/// Rewrites the results array with one record per line, replacing any
+/// existing entry with the same `(experiment, quick, shard)` as `record`.
+/// An unsharded record never matches — and never overwrites — a sharded
+/// one for the same experiment, and vice versa. An existing file that is
+/// not a JSON array is left alone and reported as an error.
+fn merge_record(path: &std::path::Path, record: Json) -> std::io::Result<()> {
+    let mut entries = match std::fs::read_to_string(path) {
+        Ok(text) => match json::parse(&text).map_err(std::io::Error::other)? {
+            Json::Arr(entries) => entries,
+            _ => return Err(std::io::Error::other("not a JSON array of records")),
+        },
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(e),
+    };
+    entries.retain(|e| {
+        ["experiment", "quick", "shard"]
+            .iter()
+            .any(|key| e.get(key) != record.get(key))
+    });
+    entries.push(record);
+    let lines: Vec<String> = entries.iter().map(Json::to_string).collect();
+    std::fs::write(path, format!("[\n{}\n]\n", lines.join(",\n")))
 }
 
 #[cfg(test)]
@@ -357,25 +315,12 @@ mod tests {
     }
 
     #[test]
-    fn json_strings_are_escaped() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-    }
-
-    #[test]
-    fn json_numbers_handle_non_finite() {
-        assert_eq!(json_number(1.5), "1.5");
-        assert_eq!(json_number(f64::NAN), "null");
-        assert_eq!(json_number(f64::INFINITY), "null");
-    }
-
-    #[test]
     fn record_serializes_to_one_line() {
         let mut p = PerfRecorder::start("demo");
         p.cells(12);
         p.metric("utilization", 0.91);
         p.metric("broken", f64::NAN);
-        let line = p.to_json_line(3.25, true, 4);
+        let line = p.record(3.25, true, 4).to_string();
         assert!(!line.contains('\n'));
         assert_eq!(
             line,
@@ -390,7 +335,7 @@ mod tests {
         let mut p = PerfRecorder::start("demo");
         p.cells(6);
         p.shard(bicord_sweep::Shard::parse("2/4").unwrap());
-        let line = p.to_json_line(1.5, false, 2);
+        let line = p.record(1.5, false, 2).to_string();
         assert_eq!(
             line,
             "{\"experiment\": \"demo\", \"quick\": false, \"shard\": \"2/4\", \
@@ -406,17 +351,48 @@ mod tests {
         let rec = |name: &str, wall: f64| {
             let mut p = PerfRecorder::start(name);
             p.cells(1);
-            p.to_json_line(wall, false, 1)
+            p.record(wall, false, 1)
         };
-        merge_record(&path, "a", false, None, &rec("a", 1.0)).unwrap();
-        merge_record(&path, "b", false, None, &rec("b", 2.0)).unwrap();
-        merge_record(&path, "a", false, None, &rec("a", 9.0)).unwrap();
+        merge_record(&path, rec("a", 1.0)).unwrap();
+        merge_record(&path, rec("b", 2.0)).unwrap();
+        merge_record(&path, rec("a", 9.0)).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.starts_with("[\n") && text.ends_with("\n]\n"), "{text}");
         assert_eq!(text.matches("\"experiment\": \"a\"").count(), 1);
         assert_eq!(text.matches("\"experiment\": \"b\"").count(), 1);
         assert!(text.contains("\"wall_ms\": 9"), "{text}");
         assert!(!text.contains("\"wall_ms\": 1,"), "{text}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn merge_replaces_an_entry_written_without_spaces() {
+        let dir =
+            std::env::temp_dir().join(format!("bicord-bench-compact-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_results.json");
+        std::fs::write(
+            &path,
+            "[\n{\"experiment\":\"a\",\"quick\":false,\"threads\":1,\"cells\":1,\
+             \"wall_ms\":1,\"metrics\":{}}\n]\n",
+        )
+        .unwrap();
+        let mut p = PerfRecorder::start("a");
+        p.cells(1);
+        merge_record(&path, p.record(9.0, false, 1)).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            text,
+            "[\n{\"experiment\": \"a\", \"quick\": false, \"threads\": 1, \
+             \"cells\": 1, \"wall_ms\": 9, \"metrics\": {}}\n]\n"
+        );
+        // A file that is not a results array is reported, not clobbered.
+        std::fs::write(&path, "{\"experiment\": \"a\"}").unwrap();
+        assert!(merge_record(&path, p.record(9.0, false, 1)).is_err());
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "{\"experiment\": \"a\"}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -433,36 +409,15 @@ mod tests {
             if let Some(s) = sh {
                 p.shard(shard(s));
             }
-            p.to_json_line(wall, false, 1)
+            p.record(wall, false, 1)
         };
-        merge_record(&path, "a", false, None, &rec(None, 1.0)).unwrap();
-        merge_record(
-            &path,
-            "a",
-            false,
-            Some(shard("1/2")),
-            &rec(Some("1/2"), 2.0),
-        )
-        .unwrap();
-        merge_record(
-            &path,
-            "a",
-            false,
-            Some(shard("2/2")),
-            &rec(Some("2/2"), 3.0),
-        )
-        .unwrap();
+        merge_record(&path, rec(None, 1.0)).unwrap();
+        merge_record(&path, rec(Some("1/2"), 2.0)).unwrap();
+        merge_record(&path, rec(Some("2/2"), 3.0)).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.matches("\"experiment\": \"a\"").count(), 3, "{text}");
         // Re-running shard 1/2 replaces only that entry.
-        merge_record(
-            &path,
-            "a",
-            false,
-            Some(shard("1/2")),
-            &rec(Some("1/2"), 8.0),
-        )
-        .unwrap();
+        merge_record(&path, rec(Some("1/2"), 8.0)).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.matches("\"experiment\": \"a\"").count(), 3, "{text}");
         assert!(text.contains("\"wall_ms\": 8"), "{text}");

@@ -18,7 +18,9 @@
 //!   [`fault::FaultInjector`]) for robustness studies,
 //! * [`guard`] — runtime invariant guard ([`guard::SimGuard`] /
 //!   [`guard::RuntimeGuard`]) catching stalls, liveness and conservation
-//!   violations, zero-cost when disabled via [`guard::NoopGuard`].
+//!   violations, zero-cost when disabled via [`guard::NoopGuard`],
+//! * [`json`] — the one JSON reader ([`json::parse`]) and the canonical
+//!   writers every crate's JSON output and input goes through.
 //!
 //! # Example
 //!
@@ -44,6 +46,7 @@ pub mod engine;
 pub mod event;
 pub mod fault;
 pub mod guard;
+pub mod json;
 pub mod obs;
 pub mod par;
 pub mod rng;

@@ -629,42 +629,26 @@ impl TraceHeader {
         )
     }
 
-    /// Parses a header line produced by [`TraceHeader::to_json`].
+    /// Parses a header line such as [`TraceHeader::to_json`] writes; any
+    /// valid JSON layout of the same object is accepted.
     ///
     /// Returns `None` for malformed lines or unknown schemas — callers
     /// must treat that as "do not interpret the rest of the file".
     pub fn parse(line: &str) -> Option<Self> {
-        let schema = json_str_field(line, "schema")?;
+        let doc = crate::json::parse(line).ok()?;
+        let text = |key: &str| doc.get(key)?.as_str().map(str::to_string);
+        let count = |key: &str| doc.get(key)?.as_u64();
+        let schema = text("schema")?;
         if schema != TRACE_SCHEMA {
             return None;
         }
         Some(TraceHeader {
             schema,
-            seed: json_u64_field(line, "seed")?,
-            mode: json_str_field(line, "mode")?,
-            duration_us: json_u64_field(line, "duration_us")?,
+            seed: count("seed")?,
+            mode: text("mode")?,
+            duration_us: count("duration_us")?,
         })
     }
-}
-
-/// Extracts a `"key":"value"` string field from a flat JSON line. Values
-/// containing escapes are not supported (the writer never emits any).
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\":\"");
-    let start = line.find(&marker)? + marker.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-/// Extracts a `"key":123` integer field from a flat JSON line.
-fn json_u64_field(line: &str, key: &str) -> Option<u64> {
-    let marker = format!("\"{key}\":");
-    let start = line.find(&marker)? + marker.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
 }
 
 /// Writes a deterministic, schema-versioned JSONL timeline of one run.

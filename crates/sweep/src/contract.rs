@@ -67,6 +67,8 @@ impl ParamValue {
             Json::Bool(b) => Ok(ParamValue::Bool(*b)),
             Json::Int(n) => Ok(ParamValue::Int(*n)),
             Json::Float(x) => Ok(ParamValue::Float(*x)),
+            // Too large for `ParamValue::Int`: the nearest float.
+            Json::UInt(n) => Ok(ParamValue::Float(*n as f64)),
             Json::Str(s) => Ok(ParamValue::Str(s.clone())),
             other => Err(format!(
                 "parameter values must be scalars, got {}",

@@ -6,7 +6,9 @@
 # drifted apart), then sanity-checks diff-trace: a trace must diff
 # IDENTICAL (exit 0) against itself and DIFFER (exit 1) against a
 # tampered copy. A TraceEvent kind unknown to bicord_analyze fails the
-# summarize step with the kind's name.
+# summarize step with the kind's name. Last, a copy respaced after every
+# ':' and ',' must summarize byte-identically and diff IDENTICAL: the
+# reader parses JSON, not one byte layout.
 #
 # Usage: scripts/analyze_smoke.sh
 set -euo pipefail
@@ -39,6 +41,22 @@ sed 's/"seed":\([0-9]*\)/"seed":0/; 0,/"ev":"burst_complete"/s//"ev":"csma_fallb
 if cargo run -q --offline --release --bin bicord -- \
     analyze diff-trace "$trace" "$tmpdir/tampered.jsonl" >/dev/null; then
     echo "analyze_smoke: FAIL — tampered trace diffed IDENTICAL" >&2
+    exit 1
+fi
+
+echo "analyze_smoke: a respaced trace reads the same..."
+sed 's/":/": /g; s/,"/, "/g' "$trace" >"$tmpdir/respaced.jsonl"
+for t in "$trace" "$tmpdir/respaced.jsonl"; do
+    cargo run -q --offline --release --bin bicord -- \
+        analyze summarize "$t" --format json >"$t.summary.json"
+done
+if ! cmp -s "$trace.summary.json" "$tmpdir/respaced.jsonl.summary.json"; then
+    echo "analyze_smoke: FAIL — the respaced trace summarizes differently" >&2
+    exit 1
+fi
+if ! cargo run -q --offline --release --bin bicord -- \
+    analyze diff-trace "$trace" "$tmpdir/respaced.jsonl" >/dev/null; then
+    echo "analyze_smoke: FAIL — the respaced trace does not diff IDENTICAL" >&2
     exit 1
 fi
 

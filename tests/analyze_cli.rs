@@ -57,6 +57,67 @@ fn synthetic_regression_fails_naming_the_metric() {
     );
 }
 
+/// A baseline in another valid JSON layout (`"metrics":{` without the
+/// space) still gates: a 100x regression against it breaches.
+#[test]
+fn compact_baseline_layout_still_breaches() {
+    let dir = tmpdir("compact");
+    let compact = BASELINE.replace("\": ", "\":").replace(", \"", ",\"");
+    assert!(compact.contains("\"metrics\":{"));
+    std::fs::write(dir.join("baseline.json"), compact).unwrap();
+    std::fs::write(
+        dir.join("current.json"),
+        BASELINE.replace("\"sensed_ns_100\": 200.0", "\"sensed_ns_100\": 20000.0"),
+    )
+    .unwrap();
+    let out = bicord(
+        &["diff-bench", "current.json", "--baseline", "baseline.json"],
+        &dir,
+    );
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("sensed_ns_100"), "breach unnamed: {stdout}");
+}
+
+/// Unparseable results and misspelt rule keys are errors naming the
+/// file, never an empty (and so vacuously green) comparison.
+#[test]
+fn malformed_inputs_are_errors_naming_the_file() {
+    let dir = tmpdir("malformed");
+    std::fs::write(dir.join("baseline.json"), BASELINE).unwrap();
+    std::fs::write(dir.join("current.json"), BASELINE.replace("]", "")).unwrap();
+    let out = bicord(
+        &["diff-bench", "current.json", "--baseline", "baseline.json"],
+        &dir,
+    );
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("current.json"), "{stderr}");
+
+    std::fs::write(
+        dir.join("rules.json"),
+        r#"[{"metric": "_ns", "exlude": "nocull", "rule": "max_regression_pct", "limit": 25}]"#,
+    )
+    .unwrap();
+    let out = bicord(
+        &[
+            "diff-bench",
+            "baseline.json",
+            "--baseline",
+            "baseline.json",
+            "--rules",
+            "rules.json",
+        ],
+        &dir,
+    );
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("rules.json") && stderr.contains("exlude"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn within_budget_passes_and_writes_the_markdown_report() {
     let dir = tmpdir("pass");

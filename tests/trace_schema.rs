@@ -138,3 +138,16 @@ fn header_round_trips_and_rejects_unknown_schema() {
     assert!(TraceHeader::parse(&alien).is_none());
     assert!(TraceHeader::parse("not json").is_none());
 }
+
+#[test]
+fn header_parses_in_any_json_layout() {
+    let spaced =
+        "{\"schema\": \"bicord-trace/1\", \"seed\": 1, \"mode\": \"bicord\", \"duration_us\": 5}";
+    assert_eq!(
+        TraceHeader::parse(spaced),
+        Some(TraceHeader::new(1, "bicord", 5))
+    );
+    // A full-range u64 seed reads back exactly.
+    let header = TraceHeader::new(u64::MAX, "ecc", 7);
+    assert_eq!(TraceHeader::parse(&header.to_json()), Some(header));
+}
