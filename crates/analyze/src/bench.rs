@@ -2,9 +2,10 @@
 //! `BENCH_results.json` files under per-metric threshold rules and turns
 //! the perf trajectory into an enforced budget.
 //!
-//! Records are keyed by `(experiment, quick, shard)` — shard-tagged
-//! entries written by `--spec --shard K/N` bench runs diff against the
-//! matching shard of the baseline, never against the unsharded record.
+//! Records are keyed by `(experiment, quick)`: a quick record diffs
+//! against the quick baseline, never against the full-scale one. A file
+//! holding two records under one key is an error, since either could be
+//! the one compared.
 //!
 //! # Budget rules
 //!
@@ -47,8 +48,6 @@ pub struct BenchEntry {
     pub experiment: String,
     /// Whether the record came from a `--quick` run.
     pub quick: bool,
-    /// `"K/N"` for shard-tagged records, `None` for unsharded ones.
-    pub shard: Option<String>,
     /// The record in the recorder's single-line layout, for `--bless`.
     pub line: String,
     /// The flat metrics map (non-finite values dropped).
@@ -56,39 +55,45 @@ pub struct BenchEntry {
 }
 
 impl BenchEntry {
-    /// The `(experiment, quick, shard)` identity used for matching.
-    fn key(&self) -> (&str, bool, Option<&str>) {
-        (&self.experiment, self.quick, self.shard.as_deref())
+    /// The `(experiment, quick)` identity used for matching.
+    fn key(&self) -> (&str, bool) {
+        (&self.experiment, self.quick)
     }
 
-    /// Display label: `experiment`, plus `[K/N]` for shard-tagged and
-    /// `:quick` for quick-mode records, so same-experiment rows stay
-    /// tellable apart in reports.
+    /// Display label: `experiment`, plus `:quick` for quick-mode
+    /// records, so same-experiment rows stay tellable apart in reports.
     fn label(&self) -> String {
-        let mut label = self.experiment.clone();
-        if let Some(s) = &self.shard {
-            let _ = write!(label, "[{s}]");
-        }
         if self.quick {
-            label.push_str(":quick");
+            format!("{}:quick", self.experiment)
+        } else {
+            self.experiment.clone()
         }
-        label
     }
 }
 
 /// Parses a results file: a JSON array of records, as
 /// `PerfRecorder::merge_record` writes it. Any valid JSON layout is
 /// read; a record lacking `experiment`, `quick` or `metrics`, or with a
-/// field of the wrong type, is an error naming the record. `null`
-/// (non-finite) metrics are dropped.
+/// field of the wrong type, is an error naming the record, and so is a
+/// second record with an earlier record's `(experiment, quick)` key.
+/// `null` (non-finite) metrics are dropped.
 pub fn parse_bench_file(text: &str) -> Result<Vec<BenchEntry>, String> {
     let doc = json::parse(text)?;
     let records = doc.as_array().ok_or("not a JSON array of records")?;
-    records
-        .iter()
-        .enumerate()
-        .map(|(i, record)| bench_entry(record).map_err(|e| format!("record {}: {e}", i + 1)))
-        .collect()
+    let mut entries: Vec<BenchEntry> = Vec::with_capacity(records.len());
+    for (i, record) in records.iter().enumerate() {
+        let entry = bench_entry(record).map_err(|e| format!("record {}: {e}", i + 1))?;
+        if entries.iter().any(|e| e.key() == entry.key()) {
+            return Err(format!(
+                "record {}: duplicate key (experiment \"{}\", quick {})",
+                i + 1,
+                entry.experiment,
+                entry.quick
+            ));
+        }
+        entries.push(entry);
+    }
+    Ok(entries)
 }
 
 fn bench_entry(record: &Json) -> Result<BenchEntry, String> {
@@ -98,10 +103,6 @@ fn bench_entry(record: &Json) -> Result<BenchEntry, String> {
         .ok_or("\"experiment\" is not a string")?;
     let Json::Bool(quick) = field("quick")? else {
         return Err("\"quick\" is not a bool".to_string());
-    };
-    let shard = match record.get("shard") {
-        None => None,
-        Some(s) => Some(s.as_str().ok_or("\"shard\" is not a string")?.to_string()),
     };
     let metrics = field("metrics")?
         .as_object()
@@ -116,7 +117,6 @@ fn bench_entry(record: &Json) -> Result<BenchEntry, String> {
     Ok(BenchEntry {
         experiment: experiment.to_string(),
         quick: *quick,
-        shard,
         line: record.to_string(),
         metrics,
     })
@@ -297,7 +297,7 @@ pub enum Verdict {
 /// One evaluated `(entry, metric)` pair.
 #[derive(Debug, Clone)]
 pub struct BudgetRow {
-    /// `experiment` or `experiment[K/N]`.
+    /// `experiment` or `experiment:quick`.
     pub entry: String,
     /// Metric name.
     pub metric: String,
@@ -559,8 +559,8 @@ mod tests {
          {\"sensed_ns_100\": 236.2, \"sensed_nocull_ns_100\": 485.8, \
          \"broken\": null, \"sensed_flatness\": 1.74}}";
 
-    const SHARDED: &str = "{\"experiment\": \"multi_node\", \"quick\": true, \
-         \"shard\": \"1/2\", \"threads\": 1, \"cells\": 3, \"wall_ms\": 9.5, \
+    const MULTI_NODE: &str = "{\"experiment\": \"multi_node\", \"quick\": true, \
+         \"threads\": 1, \"cells\": 3, \"wall_ms\": 9.5, \
          \"metrics\": {\"mean_aggregate_pdr\": 0.92, \"quarantined_cells\": 0}}";
 
     fn file(lines: &[&str]) -> Vec<BenchEntry> {
@@ -569,12 +569,12 @@ mod tests {
 
     #[test]
     fn parses_recorder_lines() {
-        let entries = file(&[LINE, LINE]);
+        let entries = file(&[LINE, &LINE.replace("\"quick\": true", "\"quick\": false")]);
         assert_eq!(entries.len(), 2);
+        assert!(!entries[1].quick);
         let e = &entries[0];
         assert_eq!(e.experiment, "dense_city_scaling");
         assert!(e.quick);
-        assert_eq!(e.shard, None);
         // `null` metrics are dropped; finite ones keep their values —
         // including the final metric, right against the closing braces.
         assert_eq!(
@@ -588,20 +588,24 @@ mod tests {
     }
 
     #[test]
-    fn shard_tags_key_records_apart() {
-        let entries = file(&[SHARDED, &SHARDED.replace("1/2", "2/2")]);
-        assert_eq!(entries[0].shard.as_deref(), Some("1/2"));
-        assert_eq!(entries[0].label(), "multi_node[1/2]:quick");
-        assert_ne!(entries[0].key(), entries[1].key());
-        // A sharded current entry only matches the same shard's baseline.
-        let report = evaluate(
-            &file(&[SHARDED]),
-            &file(&[&SHARDED.replace("1/2", "2/2")]),
-            &default_rules(25.0),
-            25.0,
+    fn duplicate_keys_are_errors() {
+        let text = |lines: &[&str]| format!("[\n{}\n]\n", lines.join(",\n"));
+        let err = parse_bench_file(&text(&[LINE, MULTI_NODE, LINE])).unwrap_err();
+        assert!(
+            err.contains("record 3") && err.contains("\"dense_city_scaling\", quick true"),
+            "{err}"
         );
-        assert!(report.rows.iter().all(|r| r.metric == "quarantined_cells"));
-        assert_eq!(report.unmatched, vec!["multi_node[2/2]:quick".to_string()]);
+        // Records an older recorder tagged with a shard share one key.
+        let shard = |k: &str| {
+            MULTI_NODE.replace("\"threads\"", &format!("\"shard\": \"{k}\", \"threads\""))
+        };
+        assert!(parse_bench_file(&text(&[&shard("1/2"), &shard("2/2")])).is_err());
+        // The same experiment at the other scale is a different key.
+        let full = LINE.replace("\"quick\": true", "\"quick\": false");
+        let entries = file(&[LINE, &full]);
+        assert_eq!(entries[0].label(), "dense_city_scaling:quick");
+        assert_eq!(entries[1].label(), "dense_city_scaling");
+        assert_ne!(entries[0].key(), entries[1].key());
     }
 
     #[test]
@@ -663,8 +667,8 @@ mod tests {
 
     #[test]
     fn throughput_floor_and_quarantine_ceiling() {
-        let baseline = file(&[SHARDED]);
-        let dropped = SHARDED
+        let baseline = file(&[MULTI_NODE]);
+        let dropped = MULTI_NODE
             .replace("0.92", "0.80")
             .replace("\"quarantined_cells\": 0", "\"quarantined_cells\": 2");
         let current = file(&[&dropped]);
@@ -722,22 +726,19 @@ mod tests {
 
     #[test]
     fn entry_lines_render_in_the_recorder_layout() {
-        let compact = SHARDED.replace("\": ", "\":").replace(", \"", ",\"");
-        assert_eq!(file(&[&compact])[0].line, SHARDED);
+        let compact = MULTI_NODE.replace("\": ", "\":").replace(", \"", ",\"");
+        assert_eq!(file(&[&compact])[0].line, MULTI_NODE);
     }
 
     #[test]
     fn bless_selects_relative_rule_targets_only() {
         let no_gated = "{\"experiment\": \"cti_accuracy\", \"quick\": false, \
              \"threads\": 1, \"cells\": 4, \"wall_ms\": 18.5, \"metrics\": {}}";
-        let entries = file(&[LINE, SHARDED, no_gated]);
+        let entries = file(&[LINE, MULTI_NODE, no_gated]);
         let names: Vec<String> = blessable(&entries, &default_rules(25.0))
             .iter()
             .map(|e| e.label())
             .collect();
-        assert_eq!(
-            names,
-            vec!["dense_city_scaling:quick", "multi_node[1/2]:quick"]
-        );
+        assert_eq!(names, vec!["dense_city_scaling:quick", "multi_node:quick"]);
     }
 }

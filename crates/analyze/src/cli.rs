@@ -109,9 +109,14 @@ fn parse<I: Iterator<Item = String>>(mut args: I) -> Result<Command, String> {
     let mut threshold_pct = DEFAULT_THRESHOLD_PCT;
     let mut out = None;
     let mut bless = false;
-    let mut args = args.peekable();
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} wants a value"));
+        let mut value = |name: &str| match args.next() {
+            None => Err(format!("{name} wants a value")),
+            Some(v) if v.starts_with("--") => {
+                Err(format!("{name} wants a value, but got the flag '{v}'"))
+            }
+            Some(v) => Ok(v),
+        };
         match arg.as_str() {
             "--help" | "-h" => return Err("help".to_string()),
             "--format" => format = Format::parse(&value("--format")?)?,
@@ -449,5 +454,20 @@ mod tests {
         assert!(parse_of(&["summarize", "t", "--format", "xml"]).is_err());
         assert!(parse_of(&["diff-bench", "a", "b"]).is_err());
         assert!(parse_of(&["summarize", "t", "--wat"]).is_err());
+    }
+
+    #[test]
+    fn a_flag_is_never_taken_as_a_value() {
+        let err = parse_of(&["diff-bench", "--out", "--bless"]).unwrap_err();
+        assert!(err.contains("--out") && err.contains("'--bless'"), "{err}");
+        let err = parse_of(&["diff-bench", "--baseline", "--rules", "r.json"]).unwrap_err();
+        assert!(
+            err.contains("--baseline") && err.contains("'--rules'"),
+            "{err}"
+        );
+        assert!(parse_of(&["summarize", "t", "--format", "--bins", "4"]).is_err());
+        // A negative number is a value, not a flag.
+        let c = parse_of(&["diff-bench", "--threshold", "-5"]).unwrap();
+        assert!(matches!(c, Command::DiffBench { threshold_pct, .. } if threshold_pct == -5.0));
     }
 }

@@ -5,16 +5,16 @@
 //! 2. the **allocator stabilisers** (opportunistic shrink + re-estimation
 //!    confirmation) added on top of the paper's Eq. 1.
 
-use bicord_bench::{run_count, run_duration, PerfRecorder, BENCH_SEED};
+use bicord_bench::{PerfRecorder, BENCH_SEED};
 use bicord_metrics::table::{fmt1, fmt3, pct, TextTable};
 use bicord_scenario::experiments::{ablation_allocator, ablation_detector};
 
 fn main() {
     let cli = bicord_bench::BenchCli::parse_or_exit("ablations");
     cli.apply();
-    let trials = run_count(300, 40);
+    let trials = cli.run_count(300, 40);
     eprintln!("Ablation 1: detector rule sweep (N x T), {trials} trials per cell...");
-    let mut perf = PerfRecorder::start("ablations");
+    let mut perf = PerfRecorder::start("ablations", cli.quick);
     let rows = ablation_detector(BENCH_SEED, trials);
     let mut table = TextTable::new(vec!["N (highs)", "T (ms)", "precision", "recall"]);
     table.title("Ablation — CSI detector continuity rule (location C, -1 dBm, 4 packets)");
@@ -46,7 +46,7 @@ fn main() {
     );
     println!("rejects isolated noise spikes (paper Sec. V / Fig. 3).\n");
 
-    let duration = run_duration(30, 5);
+    let duration = cli.run_duration(30, 5);
     eprintln!("Ablation 2: allocator stabilisers, {duration} per cell...");
     let rows = ablation_allocator(BENCH_SEED, duration);
     let mut table = TextTable::new(vec![

@@ -3,22 +3,20 @@
 //! and identifying which of three Wi-Fi devices transmitted (paper:
 //! 89.76 % ± 2.14).
 //!
-//! Also drivable through the sweep registry (`cti_accuracy` scenario):
-//! `cti_accuracy --spec specs/cti_accuracy_quick.json [--shard K/N]`.
+//! The sweep registry's `cti_accuracy` scenario runs the same measurement
+//! per cell: `bicord sweep --spec specs/cti_accuracy_quick.json
+//! [--shard K/N]`.
 
-use bicord_bench::{run_count, run_spec_mode, PerfRecorder, BENCH_SEED};
+use bicord_bench::{PerfRecorder, BENCH_SEED};
 use bicord_metrics::table::{pct, TextTable};
 use bicord_scenario::experiments::cti_accuracy;
 
 fn main() {
-    let cli = bicord_bench::BenchCli::parse_or_exit_sweepable("cti_accuracy");
+    let cli = bicord_bench::BenchCli::parse_or_exit("cti_accuracy");
     cli.apply();
-    if run_spec_mode(&cli, "cti_accuracy") {
-        return;
-    }
-    let traces = run_count(200, 40) as usize;
+    let traces = cli.run_count(200, 40) as usize;
     eprintln!("CTI detection: {traces} traces per technology / device...");
-    let mut perf = PerfRecorder::start("cti_accuracy");
+    let mut perf = PerfRecorder::start("cti_accuracy", cli.quick);
     let acc = cti_accuracy(BENCH_SEED, traces);
     // 4 technologies + 3 training devices, plus the test traces.
     perf.cells(traces * 7 + traces.max(30) * 3);

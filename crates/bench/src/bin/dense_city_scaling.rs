@@ -21,10 +21,10 @@
 //! `bicord analyze diff-bench` (via `scripts/bench_compare.sh`) to diff
 //! against the committed baseline under the perf-budget rules.
 //!
-//! Pass `--spec FILE [--shard K/N]` to instead run the registry's
-//! "dense_city" scenario (deterministic outcome counters, shardable and
-//! mergeable); per-query latency timing is inherently wall-clock and
-//! stays on this binary's default path.
+//! The registry's "dense_city" scenario (deterministic outcome counters,
+//! shardable and mergeable) runs through `bicord sweep --spec
+//! specs/dense_city_quick.json`; per-query latency timing is inherently
+//! wall-clock and stays in this binary.
 
 #![deny(deprecated)]
 
@@ -133,11 +133,8 @@ fn measure(config: &DenseCityConfig, queries: usize, passes: usize) -> QueryCost
 }
 
 fn main() {
-    let cli = bicord_bench::BenchCli::parse_or_exit_sweepable("dense_city_scaling");
+    let cli = bicord_bench::BenchCli::parse_or_exit("dense_city_scaling");
     cli.apply();
-    if bicord_bench::run_spec_mode(&cli, "dense_city") {
-        return;
-    }
     let sizes: &[u32] = if cli.quick {
         &[100, 400, 1_600]
     } else {
@@ -149,7 +146,7 @@ fn main() {
         sizes.last().unwrap()
     );
 
-    let mut perf = PerfRecorder::start("dense_city_scaling");
+    let mut perf = PerfRecorder::start("dense_city_scaling", cli.quick);
     let mut table = TextTable::new(vec![
         "devices",
         "sensed ns/q",

@@ -2,7 +2,7 @@
 //! ten-packet 120 B burst versus a clear channel (paper: 10–21 %), and the
 //! break-even against retransmissions.
 
-use bicord_bench::{run_duration, BENCH_SEED};
+use bicord_bench::BENCH_SEED;
 use bicord_core::energy::{clear_channel_burst, failed_attempt};
 use bicord_metrics::table::{fmt3, pct, TextTable};
 use bicord_phy::units::Dbm;
@@ -42,7 +42,7 @@ fn main() {
 
     // The same calculation with coordination overheads *measured* from a
     // live simulation of the Sec. VII-B workload.
-    let measured = energy_cost_measured(BENCH_SEED, run_duration(30, 5));
+    let measured = energy_cost_measured(BENCH_SEED, cli.run_duration(30, 5));
     println!();
     println!(
         "measured from simulation: {:.1} control packets per burst, ~{:.1} ms of \

@@ -7,7 +7,7 @@
 //! ~30 ms while ECC's grows with traffic sparsity (−84.2 % on average);
 //! BiCord's throughput is never capped by a fixed white space.
 
-use bicord_bench::{run_duration, BENCH_SEED};
+use bicord_bench::BENCH_SEED;
 use bicord_metrics::table::{fmt1, pct, TextTable};
 use bicord_scenario::config::SimConfig;
 use bicord_scenario::experiments::{fig10_comparison, Scheme};
@@ -24,7 +24,7 @@ fn main() {
             .build()
             .expect("trace config is valid"),
     );
-    let duration = run_duration(60, 6);
+    let duration = cli.run_duration(60, 6);
     eprintln!("Fig. 10: 4 schemes x 5 intervals, {duration} each...");
     let rows = fig10_comparison(BENCH_SEED, duration);
 

@@ -3,7 +3,7 @@
 //! `fig10_comparison` binary remains the paper-shaped view; this one shows
 //! how stable the numbers are.
 
-use bicord_bench::{run_count, run_duration, PerfRecorder, BENCH_SEED};
+use bicord_bench::{PerfRecorder, BENCH_SEED};
 use bicord_metrics::table::TextTable;
 use bicord_scenario::config::SimConfig;
 use bicord_scenario::experiments::{fig10_replicated, Scheme};
@@ -20,10 +20,10 @@ fn main() {
             .build()
             .expect("trace config is valid"),
     );
-    let duration = run_duration(30, 4);
-    let runs = u64::from(run_count(5, 2));
+    let duration = cli.run_duration(30, 4);
+    let runs = u64::from(cli.run_count(5, 2));
     eprintln!("Fig. 10 replicated: 4 schemes x 5 intervals, {runs} x {duration} each...");
-    let mut perf = PerfRecorder::start("fig10_replicated");
+    let mut perf = PerfRecorder::start("fig10_replicated", cli.quick);
     let cells = fig10_replicated(BENCH_SEED, runs, duration);
     perf.cells(cells.len() * runs as usize);
     let bicord_util: f64 = cells

@@ -6,16 +6,16 @@
 //! sweeps; the ZigBee share (pink) grows with burst duration; delay stays
 //! under 80 ms and around 30 ms for small bursts.
 
-use bicord_bench::{run_duration, PerfRecorder, BENCH_SEED};
+use bicord_bench::{PerfRecorder, BENCH_SEED};
 use bicord_metrics::table::{fmt1, pct, TextTable};
 use bicord_scenario::experiments::fig11_parameters;
 
 fn main() {
     let cli = bicord_bench::BenchCli::parse_or_exit("fig11_parameters");
     cli.apply();
-    let duration = run_duration(40, 6);
+    let duration = cli.run_duration(40, 6);
     eprintln!("Fig. 11: three parameter sweeps, {duration} each...");
-    let mut perf = PerfRecorder::start("fig11_parameters");
+    let mut perf = PerfRecorder::start("fig11_parameters", cli.quick);
     let rows = fig11_parameters(BENCH_SEED, duration);
     perf.cells(rows.len());
     perf.metric(

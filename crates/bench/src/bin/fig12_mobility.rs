@@ -4,17 +4,17 @@
 //! Paper anchors: mobility costs at most ~9 % utilization; device mobility
 //! adds ≈ 3 ms of delay from retransmissions and extra control packets.
 
-use bicord_bench::{run_count, run_duration, PerfRecorder, BENCH_SEED};
+use bicord_bench::{PerfRecorder, BENCH_SEED};
 use bicord_metrics::table::{fmt1, pct, TextTable};
 use bicord_scenario::experiments::{fig12_mobility_replicated, MobilityScenario};
 
 fn main() {
     let cli = bicord_bench::BenchCli::parse_or_exit("fig12_mobility");
     cli.apply();
-    let duration = run_duration(30, 6);
-    let runs = u64::from(run_count(5, 1));
+    let duration = cli.run_duration(30, 6);
+    let runs = u64::from(cli.run_count(5, 1));
     eprintln!("Fig. 12: three scenarios x two burst intervals, {runs} x {duration} each...");
-    let mut perf = PerfRecorder::start("fig12_mobility");
+    let mut perf = PerfRecorder::start("fig12_mobility", cli.quick);
     let cells = fig12_mobility_replicated(BENCH_SEED, runs, duration);
     perf.cells(cells.len() * runs as usize);
     perf.metric(

@@ -7,16 +7,16 @@
 //! low-priority Wi-Fi delay is ~6 % lower than ECC's; high-priority
 //! traffic sees (nearly) zero delay because requests are simply ignored.
 
-use bicord_bench::{run_duration, PerfRecorder, BENCH_SEED};
+use bicord_bench::{PerfRecorder, BENCH_SEED};
 use bicord_metrics::table::{fmt1, pct, TextTable};
 use bicord_scenario::experiments::{fig13_priority, PriorityRow, Scheme};
 
 fn main() {
     let cli = bicord_bench::BenchCli::parse_or_exit("fig13_priority");
     cli.apply();
-    let duration = run_duration(10, 4);
+    let duration = cli.run_duration(10, 4);
     eprintln!("Fig. 13: 3 schemes x 5 priority shares, {duration} each...");
-    let mut perf = PerfRecorder::start("fig13_priority");
+    let mut perf = PerfRecorder::start("fig13_priority", cli.quick);
     let rows = fig13_priority(BENCH_SEED, duration);
     perf.cells(rows.len());
     perf.metric(

@@ -5,7 +5,7 @@
 //! The paper's headline: always below 8 iterations; more packets or a
 //! shorter step need more iterations.
 
-use bicord_bench::{run_count, PerfRecorder, BENCH_SEED};
+use bicord_bench::{PerfRecorder, BENCH_SEED};
 use bicord_metrics::table::{fmt1, TextTable};
 use bicord_scenario::experiments::fig8_fig9;
 use bicord_sim::SimDuration;
@@ -13,9 +13,9 @@ use bicord_sim::SimDuration;
 fn main() {
     let cli = bicord_bench::BenchCli::parse_or_exit("fig8_iterations");
     cli.apply();
-    let runs = u64::from(run_count(30, 5));
+    let runs = u64::from(cli.run_count(30, 5));
     eprintln!("Fig. 8: sweeping 2 locations x 2 steps x 3 burst sizes, {runs} runs each...");
-    let mut perf = PerfRecorder::start("fig8_iterations");
+    let mut perf = PerfRecorder::start("fig8_iterations", cli.quick);
     let rows = fig8_fig9(BENCH_SEED, runs, SimDuration::from_secs(8));
     perf.cells(rows.len() * runs as usize);
     perf.metric(

@@ -2,7 +2,7 @@
 //! phase versus burst size, with the over-provision ratios the paper
 //! reports (27.1 % / 12.5 % / 20.4 % for 5 / 10 / 15 packets).
 
-use bicord_bench::{run_count, PerfRecorder, BENCH_SEED};
+use bicord_bench::{PerfRecorder, BENCH_SEED};
 use bicord_metrics::table::{fmt1, pct, TextTable};
 use bicord_scenario::experiments::fig8_fig9;
 use bicord_sim::SimDuration;
@@ -10,9 +10,9 @@ use bicord_sim::SimDuration;
 fn main() {
     let cli = bicord_bench::BenchCli::parse_or_exit("fig9_whitespace");
     cli.apply();
-    let runs = u64::from(run_count(30, 5));
+    let runs = u64::from(cli.run_count(30, 5));
     eprintln!("Fig. 9: converged white space across the Fig. 8 grid, {runs} runs each...");
-    let mut perf = PerfRecorder::start("fig9_whitespace");
+    let mut perf = PerfRecorder::start("fig9_whitespace", cli.quick);
     let rows = fig8_fig9(BENCH_SEED, runs, SimDuration::from_secs(8));
     perf.cells(rows.len() * runs as usize);
     perf.metric(

@@ -7,23 +7,20 @@
 //! this bench does, against ECC-30 as the baseline.
 //!
 //! The grid is driven through the `bicord-sweep` scenario registry
-//! ("multi_node" entry); pass `--spec FILE [--shard K/N]` to run an
-//! arbitrary spec of the same scenario instead of the built-in grid.
+//! ("multi_node" entry); `bicord sweep --spec FILE [--shard K/N]` runs
+//! an arbitrary spec of the same scenario.
 
 #![deny(deprecated)]
 
-use bicord_bench::{run_duration, PerfRecorder, BENCH_SEED};
+use bicord_bench::{PerfRecorder, BENCH_SEED};
 use bicord_metrics::table::{fmt1, pct, TextTable};
 use bicord_scenario::config::{ExtraNodeConfig, SimConfig};
 use bicord_sim::SimDuration;
 use bicord_sweep::{ParamValue, ScenarioRegistry, SweepSpec};
 
 fn main() {
-    let cli = bicord_bench::BenchCli::parse_or_exit_sweepable("multi_node");
+    let cli = bicord_bench::BenchCli::parse_or_exit("multi_node");
     cli.apply();
-    if bicord_bench::run_spec_mode(&cli, "multi_node") {
-        return;
-    }
     cli.maybe_trace(
         "multi_node",
         SimConfig::builder()
@@ -33,9 +30,9 @@ fn main() {
             .build()
             .expect("trace config is valid"),
     );
-    let duration = run_duration(30, 5);
+    let duration = cli.run_duration(30, 5);
     eprintln!("Multi-node: 1-3 heterogeneous ZigBee pairs x 2 schemes, {duration} each...");
-    let mut perf = PerfRecorder::start("multi_node");
+    let mut perf = PerfRecorder::start("multi_node", cli.quick);
 
     let registry = ScenarioRegistry::builtin();
     let spec = registry

@@ -12,7 +12,8 @@
 //!     | cargo run -p bicord-bench --bin record_microbench -- medium_microbench
 //! ```
 //!
-//! The optional argument names the experiment (default `microbench`).
+//! The optional first argument names the experiment (default
+//! `microbench`); `--quick` tags the record as a quick run.
 //! Smoke lines (`... smoke ok`) carry no number and are skipped.
 
 use std::io::BufRead;
@@ -37,11 +38,14 @@ fn parse_bench_line(line: &str) -> Option<(String, f64)> {
 }
 
 fn main() {
-    let experiment = std::env::args()
-        .nth(1)
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let experiment = args
+        .first()
         .filter(|a| !a.starts_with('-'))
+        .cloned()
         .unwrap_or_else(|| "microbench".to_string());
-    let mut perf = PerfRecorder::start(&experiment);
+    let quick = args.iter().any(|a| a == "--quick");
+    let mut perf = PerfRecorder::start(&experiment, quick);
     let mut benches = 0usize;
     for line in std::io::stdin().lock().lines() {
         let line = line.expect("stdin should be readable");

@@ -8,12 +8,12 @@
 //! CSMA fallback) instead of deadlocking.
 //!
 //! The rate grid runs through the `bicord-sweep` scenario registry
-//! ("robustness" entry); pass `--spec FILE [--shard K/N]` to run an
-//! arbitrary spec of the same scenario instead of the built-in grid.
+//! ("robustness" entry); `bicord sweep --spec FILE [--shard K/N]` runs
+//! an arbitrary spec of the same scenario.
 
 #![deny(deprecated)]
 
-use bicord_bench::{run_duration, PerfRecorder, BENCH_SEED};
+use bicord_bench::{PerfRecorder, BENCH_SEED};
 use bicord_metrics::table::{fmt1, pct, TextTable};
 use bicord_scenario::sim::CoexistenceSim;
 use bicord_sim::FaultProfile;
@@ -32,17 +32,14 @@ fn count(row: &ResultRow, name: &str) -> u64 {
 }
 
 fn main() {
-    let cli = bicord_bench::BenchCli::parse_or_exit_sweepable("robustness_sweep");
+    let cli = bicord_bench::BenchCli::parse_or_exit("robustness_sweep");
     cli.apply();
-    if bicord_bench::run_spec_mode(&cli, "robustness") {
-        return;
-    }
-    let duration = run_duration(20, 3);
+    let duration = cli.run_duration(20, 3);
     eprintln!(
         "robustness sweep: {} fault rates x {duration}...",
         RATES.len()
     );
-    let mut perf = PerfRecorder::start("robustness_sweep");
+    let mut perf = PerfRecorder::start("robustness_sweep", cli.quick);
 
     // Rate 0 must be bit-identical to a run without any fault profile.
     let baseline = CoexistenceSim::new({

@@ -2,7 +2,7 @@
 //! cross-technology signaling at locations A–D, powers {0, −1, −3} dBm,
 //! and {3, 4, 5} control packets per request.
 
-use bicord_bench::{quick_mode, run_count, PerfRecorder, BENCH_SEED};
+use bicord_bench::{PerfRecorder, BENCH_SEED};
 use bicord_metrics::table::{fmt3, TextTable};
 use bicord_phy::units::Dbm;
 use bicord_scenario::config::SimConfig;
@@ -20,12 +20,12 @@ fn main() {
             .build()
             .expect("trace config is valid"),
     );
-    let trials = run_count(600, 60);
+    let trials = cli.run_count(600, 60);
     eprintln!(
         "Table I/II grid: 4 locations x 3 powers x 3 packet counts, {trials} trials each{}...",
-        if quick_mode() { " (quick)" } else { "" }
+        if cli.quick { " (quick)" } else { "" }
     );
-    let mut perf = PerfRecorder::start("table1_2");
+    let mut perf = PerfRecorder::start("table1_2", cli.quick);
     let cells = table1_2(BENCH_SEED, trials);
     perf.cells(cells.len());
     let n = cells.len() as f64;

@@ -16,40 +16,28 @@
 //!                  `0`/`off` disables)
 //! ```
 //!
-//! Binaries migrated onto the `bicord-sweep` scenario registry
-//! (`multi_node`, `robustness_sweep`, `dense_city_scaling`,
-//! `cti_accuracy`) additionally
-//! accept the sweep-contract flags and parse via
-//! [`BenchCli::parse_or_exit_sweepable`]:
-//!
-//! ```text
-//!   --spec PATH    drive the sweep from a JSON spec file instead of the
-//!                  built-in grid (scale comes from the spec, so --quick
-//!                  and --full are rejected alongside it)
-//!   --shard K/N    run only shard K of N of the spec's cells (requires
-//!                  --spec); artifacts land under sweep_out/
-//!   --cell-timeout S   abandon + quarantine a cell after S wall-clock
-//!                  seconds (requires --spec)
-//!   --max-retries N    re-runs per failed cell before quarantine
-//!                  (requires --spec; default 1)
-//! ```
-//!
 //! Flag conflicts are **errors**, never silently resolved: `--quick`
-//! with `--full`, `--spec` with either, `--shard` without `--spec`, and
-//! any flag given twice all fail parsing with a message naming the
-//! conflict.
+//! with `--full`, any flag given twice, and a flag in the place of a
+//! flag's value (`--trace --quick`) all fail parsing with a message
+//! naming the conflict.
 //!
-//! Call [`BenchCli::parse_or_exit`] (or the sweepable variant) first
-//! thing in `main`, then [`BenchCli::apply`] before the first
-//! simulation, and — for binaries that support timelines —
-//! [`BenchCli::maybe_trace`] with a representative config of the sweep.
+//! The parsed `quick` flag is the one source of the run's scale: the
+//! binaries size their sweeps with [`BenchCli::run_duration`] and
+//! [`BenchCli::run_count`] and tag their perf record with it via
+//! [`crate::PerfRecorder::start`]. Sweep specs under `specs/` are run by
+//! `bicord sweep`, not by these binaries.
+//!
+//! Call [`BenchCli::parse_or_exit`] first thing in `main`, then
+//! [`BenchCli::apply`] before the first simulation, and — for binaries
+//! that support timelines — [`BenchCli::maybe_trace`] with a
+//! representative config of the sweep.
 
 use std::path::PathBuf;
 
 use bicord_scenario::config::{Mode, SimConfig};
 use bicord_scenario::sim::CoexistenceSim;
 use bicord_sim::obs::{JsonlSink, TraceHeader};
-use bicord_sweep::Shard;
+use bicord_sim::SimDuration;
 
 /// Parsed common bench flags.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -62,14 +50,6 @@ pub struct BenchCli {
     pub trace: Option<PathBuf>,
     /// Where to append the machine-readable performance record.
     pub out: Option<PathBuf>,
-    /// Sweep spec file to drive instead of the built-in grid.
-    pub spec: Option<PathBuf>,
-    /// The shard of the spec's cells to run (`None` = all of them).
-    pub shard: Option<Shard>,
-    /// Wall-clock deadline per cell before quarantine (spec mode only).
-    pub cell_timeout: Option<std::time::Duration>,
-    /// Re-runs per failed cell before quarantine (spec mode only).
-    pub max_retries: Option<u32>,
 }
 
 /// The mode label used in trace headers (`"bicord"`, `"ecc"`, ...).
@@ -84,34 +64,22 @@ pub fn mode_label(mode: &Mode) -> &'static str {
 
 impl BenchCli {
     /// Parses `std::env::args()`; prints usage and exits on `--help` or
-    /// any error. `--spec`/`--shard` are rejected — most binaries have
-    /// no registry entry to drive; see
-    /// [`BenchCli::parse_or_exit_sweepable`].
+    /// any error.
     pub fn parse_or_exit(binary: &str) -> BenchCli {
-        Self::finish(binary, false)
-    }
-
-    /// [`BenchCli::parse_or_exit`] for binaries with a scenario in the
-    /// `bicord-sweep` registry: `--spec` and `--shard` are accepted.
-    pub fn parse_or_exit_sweepable(binary: &str) -> BenchCli {
-        Self::finish(binary, true)
-    }
-
-    fn finish(binary: &str, sweepable: bool) -> BenchCli {
-        match BenchCli::parse(std::env::args().skip(1), sweepable) {
+        match BenchCli::parse(std::env::args().skip(1)) {
             Ok(cli) => cli,
             Err(e) if e == "help" => {
-                println!("{}", usage(binary, sweepable));
+                println!("{}", usage(binary));
                 std::process::exit(0);
             }
             Err(e) => {
-                eprintln!("error: {e}\n\n{}", usage(binary, sweepable));
+                eprintln!("error: {e}\n\n{}", usage(binary));
                 std::process::exit(2);
             }
         }
     }
 
-    fn parse<I: Iterator<Item = String>>(mut args: I, sweepable: bool) -> Result<BenchCli, String> {
+    fn parse<I: Iterator<Item = String>>(mut args: I) -> Result<BenchCli, String> {
         let mut cli = BenchCli::default();
         let mut full = false;
         let mut seen: Vec<String> = Vec::new();
@@ -124,9 +92,12 @@ impl BenchCli {
                 }
                 seen.push(arg.clone());
             }
-            let mut value = |name: &str| {
-                args.next()
-                    .ok_or_else(|| format!("{name} requires a value"))
+            let mut value = |name: &str| match args.next() {
+                None => Err(format!("{name} requires a value")),
+                Some(v) if v.starts_with("--") => {
+                    Err(format!("{name} requires a value, but got the flag '{v}'"))
+                }
+                Some(v) => Ok(v),
             };
             match arg.as_str() {
                 "--quick" => cli.quick = true,
@@ -142,35 +113,6 @@ impl BenchCli {
                 }
                 "--trace" => cli.trace = Some(PathBuf::from(value("--trace")?)),
                 "--out" => cli.out = Some(PathBuf::from(value("--out")?)),
-                "--spec" | "--shard" | "--cell-timeout" | "--max-retries" if !sweepable => {
-                    return Err(format!(
-                        "{arg} is only supported by registry-driven binaries \
-                         (multi_node, robustness_sweep, dense_city_scaling, \
-                         cti_accuracy) and `bicord sweep`"
-                    ));
-                }
-                "--spec" => cli.spec = Some(PathBuf::from(value("--spec")?)),
-                "--shard" => {
-                    cli.shard = Some(
-                        Shard::parse(&value("--shard")?).map_err(|e| format!("--shard: {e}"))?,
-                    );
-                }
-                "--cell-timeout" => {
-                    let secs: f64 = value("--cell-timeout")?
-                        .parse()
-                        .map_err(|e| format!("--cell-timeout: {e}"))?;
-                    if !secs.is_finite() || secs <= 0.0 {
-                        return Err("--cell-timeout wants a positive number of seconds".to_string());
-                    }
-                    cli.cell_timeout = Some(std::time::Duration::from_secs_f64(secs));
-                }
-                "--max-retries" => {
-                    cli.max_retries = Some(
-                        value("--max-retries")?
-                            .parse()
-                            .map_err(|e| format!("--max-retries: {e}"))?,
-                    );
-                }
                 "--help" | "-h" => return Err("help".to_string()),
                 other => return Err(format!("unknown option '{other}' (try --help)")),
             }
@@ -178,33 +120,21 @@ impl BenchCli {
         if cli.quick && full {
             return Err("--quick and --full are mutually exclusive".to_string());
         }
-        if cli.spec.is_some() && (cli.quick || full) {
-            return Err(
-                "--spec sets the sweep scale itself; drop --quick/--full or the spec".to_string(),
-            );
-        }
-        if cli.shard.is_some() && cli.spec.is_none() {
-            return Err("--shard needs --spec (the spec defines the cells to shard)".to_string());
-        }
-        if (cli.cell_timeout.is_some() || cli.max_retries.is_some()) && cli.spec.is_none() {
-            return Err(
-                "--cell-timeout/--max-retries supervise spec-driven cells; add --spec".to_string(),
-            );
-        }
         Ok(cli)
     }
 
-    /// The supervision policy the flags describe (spec mode only):
-    /// library defaults with `--cell-timeout`/`--max-retries` applied.
-    pub fn run_policy(&self) -> bicord_sweep::RunPolicy {
-        let mut policy = bicord_sweep::RunPolicy::default();
-        if self.cell_timeout.is_some() {
-            policy.cell_timeout = self.cell_timeout;
+    /// Picks the full or quick variant of a run length.
+    pub fn run_duration(&self, full_secs: u64, quick_secs: u64) -> SimDuration {
+        SimDuration::from_secs(if self.quick { quick_secs } else { full_secs })
+    }
+
+    /// Picks the full or quick variant of a repetition/trial count.
+    pub fn run_count(&self, full: u32, quick: u32) -> u32 {
+        if self.quick {
+            quick
+        } else {
+            full
         }
-        if let Some(n) = self.max_retries {
-            policy.max_retries = n;
-        }
-        policy
     }
 
     /// Applies the environment-variable-backed options. Must run before
@@ -217,12 +147,6 @@ impl BenchCli {
         if let Some(out) = &self.out {
             std::env::set_var("BICORD_BENCH_JSON", out.as_os_str());
         }
-    }
-
-    /// The shard to run when `--spec` is active (defaults to the whole
-    /// sweep).
-    pub fn sweep_shard(&self) -> Shard {
-        self.shard.unwrap_or(Shard::SINGLE)
     }
 
     /// If `--trace` was given, runs `config` once with a [`JsonlSink`]
@@ -264,15 +188,7 @@ impl BenchCli {
     }
 }
 
-fn usage(binary: &str, sweepable: bool) -> String {
-    let sweep_flags = if sweepable {
-        "\n  --spec PATH    drive the sweep from a JSON spec (see specs/)\n  \
-         --shard K/N    run shard K of N of the spec's cells (needs --spec)\n  \
-         --cell-timeout S   abandon + quarantine a cell after S seconds (needs --spec)\n  \
-         --max-retries N    re-runs per failed cell before quarantine (needs --spec)"
-    } else {
-        ""
-    };
+fn usage(binary: &str) -> String {
     format!(
         "{binary} — regenerate one table/figure of the BiCord paper
 
@@ -284,7 +200,7 @@ OPTIONS:
   --full         paper-scale sweep (the default)
   --threads N    worker threads (sets BICORD_THREADS)
   --trace PATH   JSONL event timeline of one representative run
-  --out PATH     performance-record file (sets BICORD_BENCH_JSON){sweep_flags}
+  --out PATH     performance-record file (sets BICORD_BENCH_JSON)
   --help         this text"
     )
 }
@@ -294,11 +210,7 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<BenchCli, String> {
-        BenchCli::parse(args.iter().map(|s| s.to_string()), false)
-    }
-
-    fn parse_sweepable(args: &[&str]) -> Result<BenchCli, String> {
-        BenchCli::parse(args.iter().map(|s| s.to_string()), true)
+        BenchCli::parse(args.iter().map(|s| s.to_string()))
     }
 
     #[test]
@@ -339,72 +251,45 @@ mod tests {
         assert!(err.contains("more than once"), "{err}");
         assert!(parse(&["--threads", "2", "--threads", "4"]).is_err());
         assert!(parse(&["--quick", "--quick"]).is_err());
-        assert!(parse_sweepable(&["--spec", "a", "--spec", "b"]).is_err());
     }
 
     #[test]
-    fn spec_and_shard_parse_for_sweepable_binaries() {
-        let cli = parse_sweepable(&["--spec", "s.json", "--shard", "2/4"]).unwrap();
-        assert_eq!(cli.spec.as_deref(), Some(std::path::Path::new("s.json")));
-        assert_eq!(cli.shard, Some(Shard::parse("2/4").unwrap()));
-        assert_eq!(cli.sweep_shard().to_string(), "2/4");
-        let cli = parse_sweepable(&["--spec", "s.json"]).unwrap();
-        assert_eq!(cli.sweep_shard(), Shard::SINGLE);
-    }
-
-    #[test]
-    fn spec_conflicts_with_quick_and_full() {
-        let err = parse_sweepable(&["--spec", "s.json", "--quick"]).unwrap_err();
-        assert!(err.contains("--spec"), "{err}");
-        assert!(parse_sweepable(&["--spec", "s.json", "--full"]).is_err());
-    }
-
-    #[test]
-    fn shard_requires_spec() {
-        let err = parse_sweepable(&["--shard", "1/2"]).unwrap_err();
-        assert!(err.contains("--shard needs --spec"), "{err}");
-    }
-
-    #[test]
-    fn supervision_flags_require_spec_and_shape_the_policy() {
-        let cli = parse_sweepable(&[
-            "--spec",
-            "s.json",
-            "--cell-timeout",
-            "1.5",
-            "--max-retries",
-            "0",
-        ])
-        .unwrap();
-        let policy = cli.run_policy();
-        assert_eq!(
-            policy.cell_timeout,
-            Some(std::time::Duration::from_millis(1500))
+    fn a_flag_is_never_taken_as_a_value() {
+        let err = parse(&["--trace", "--quick"]).unwrap_err();
+        assert!(
+            err.contains("--trace") && err.contains("'--quick'"),
+            "{err}"
         );
-        assert_eq!(policy.max_retries, 0);
-        // Without the flags the library defaults apply.
-        let cli = parse_sweepable(&["--spec", "s.json"]).unwrap();
-        assert_eq!(cli.run_policy(), bicord_sweep::RunPolicy::default());
-        // Orphaned flags are conflicts.
-        assert!(parse_sweepable(&["--cell-timeout", "1"]).is_err());
-        assert!(parse_sweepable(&["--max-retries", "2"]).is_err());
-        assert!(parse_sweepable(&["--spec", "s", "--cell-timeout", "0"]).is_err());
-        // Non-sweepable binaries reject them like --spec.
-        assert!(parse(&["--cell-timeout", "1"]).is_err());
+        let err = parse(&["--out", "--threads", "2"]).unwrap_err();
+        assert!(
+            err.contains("--out") && err.contains("'--threads'"),
+            "{err}"
+        );
+        assert!(parse(&["--threads", "--quick"]).is_err());
+        // A value that merely starts with one dash is still a value.
+        let cli = parse(&["--trace", "-t.jsonl"]).unwrap();
+        assert_eq!(cli.trace.as_deref(), Some(std::path::Path::new("-t.jsonl")));
     }
 
     #[test]
-    fn shard_syntax_is_validated() {
-        assert!(parse_sweepable(&["--spec", "s", "--shard", "0/2"]).is_err());
-        assert!(parse_sweepable(&["--spec", "s", "--shard", "3/2"]).is_err());
-        assert!(parse_sweepable(&["--spec", "s", "--shard", "x"]).is_err());
+    fn scale_follows_the_parsed_quick_flag() {
+        let full = parse(&[]).unwrap();
+        assert_eq!(full.run_count(600, 60), 600);
+        assert_eq!(full.run_duration(60, 5), SimDuration::from_secs(60));
+        let quick = parse(&["--trace", "t.jsonl", "--quick"]).unwrap();
+        assert_eq!(quick.run_count(600, 60), 60);
+        assert_eq!(quick.run_duration(60, 5), SimDuration::from_secs(5));
     }
 
     #[test]
-    fn non_sweepable_binaries_reject_spec_flags_loudly() {
-        let err = parse(&["--spec", "s.json"]).unwrap_err();
-        assert!(err.contains("bicord sweep"), "{err}");
-        assert!(parse(&["--shard", "1/2"]).is_err());
+    fn spec_flags_are_unknown_options() {
+        for flag in ["--spec", "--shard", "--cell-timeout", "--max-retries"] {
+            let err = parse(&[flag, "x"]).unwrap_err();
+            assert!(
+                err.contains("unknown option") && err.contains(flag),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -417,15 +302,18 @@ mod tests {
     }
 
     #[test]
-    fn usage_mentions_sweep_flags_only_when_supported() {
-        assert!(usage("multi_node", true).contains("--shard"));
-        assert!(!usage("fig3_csi", false).contains("--shard"));
+    fn usage_names_no_sweep_flags() {
+        let text = usage("multi_node");
+        assert!(text.contains("--quick") && text.contains("--out"), "{text}");
+        assert!(
+            !text.contains("--spec") && !text.contains("--shard"),
+            "{text}"
+        );
     }
 
     #[test]
     fn mode_labels_cover_all_modes() {
         use bicord_scenario::geometry::Location;
-        use bicord_sim::SimDuration;
         let b = SimConfig::bicord(Location::A, 1);
         assert_eq!(mode_label(&b.mode), "bicord");
         let e = SimConfig::ecc(Location::A, 1, SimDuration::from_millis(20));

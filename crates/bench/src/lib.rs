@@ -5,7 +5,9 @@
 //!
 //! Every binary accepts `--quick` to run a shortened sweep (useful for
 //! smoke-testing the harness itself); without it, the full paper-scale
-//! parameters are used.
+//! parameters are used. The flags are parsed once by [`BenchCli`], and
+//! the parsed `quick` flag alone sizes the sweep and tags the perf
+//! record.
 //!
 //! | Binary | Regenerates |
 //! |---|---|
@@ -24,6 +26,13 @@
 //! | `multi_node` | the Sec. VI multi-node extension (beyond the paper) |
 //! | `ablations` | detector-rule and allocator-stabiliser ablations |
 //! | `robustness_sweep` | fault-rate sweep (beyond the paper): PDR/delay/fallbacks under injected control-packet loss, CTS loss, and phantom CSI |
+//! | `dense_city_scaling` | per-query medium cost vs dense-city world size (beyond the paper) |
+//!
+//! `multi_node`, `robustness_sweep`, `dense_city_scaling` and
+//! `cti_accuracy` each have a scenario in the `bicord-sweep` registry
+//! (the first two run their built-in grids through it). Spec files of
+//! those scenarios (`specs/`), sharded or supervised, are run by
+//! `bicord sweep --spec`.
 //!
 //! Set `BICORD_CSV_DIR=<dir>` to additionally export the main tables as
 //! CSV for plotting.
@@ -47,119 +56,9 @@ use std::time::Instant;
 
 use bicord_metrics::TextTable;
 use bicord_sim::json::{self, Json};
-use bicord_sim::SimDuration;
-
-/// `true` when the binary was invoked with `--quick`.
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
-/// Picks the full or quick variant of a run length.
-pub fn run_duration(full_secs: u64, quick_secs: u64) -> SimDuration {
-    if quick_mode() {
-        SimDuration::from_secs(quick_secs)
-    } else {
-        SimDuration::from_secs(full_secs)
-    }
-}
-
-/// Picks the full or quick variant of a repetition/trial count.
-pub fn run_count(full: u32, quick: u32) -> u32 {
-    if quick_mode() {
-        quick
-    } else {
-        full
-    }
-}
 
 /// The master seed shared by the regeneration binaries.
 pub const BENCH_SEED: u64 = 20_210_705;
-
-/// The `--spec` path of a sweepable binary: drives the scenario
-/// registry for the given spec file, prints the generic rows table,
-/// records a (shard-tagged) perf entry, and returns `true` when it
-/// handled the invocation. Binaries call this first and fall through to
-/// their built-in grid when no `--spec` was given.
-///
-/// The spec must name `expected_scenario` — each binary owns exactly one
-/// registry entry; `bicord sweep` is the driver for arbitrary specs.
-pub fn run_spec_mode(cli: &BenchCli, expected_scenario: &str) -> bool {
-    use bicord_sweep::{rows_table, run_shard_supervised, ScenarioRegistry};
-    let Some(spec_path) = &cli.spec else {
-        return false;
-    };
-    let shard = cli.sweep_shard();
-    let policy = cli.run_policy();
-    let run = || -> Result<usize, bicord_sweep::SweepError> {
-        let registry = std::sync::Arc::new(ScenarioRegistry::builtin());
-        let spec = bicord_sweep::load_spec(spec_path)?;
-        if spec.scenario != expected_scenario {
-            return Err(bicord_sweep::SweepError::Param(format!(
-                "this binary runs the \"{expected_scenario}\" scenario, but the spec \
-                 names \"{}\"; use `bicord sweep` for arbitrary specs",
-                spec.scenario
-            )));
-        }
-        let spec = registry.resolve(&spec)?;
-        let mut perf = PerfRecorder::start(expected_scenario);
-        if cli.shard.is_some() {
-            perf.shard(shard);
-        }
-        eprintln!(
-            "{expected_scenario}: spec {} shard {shard} ({} of {} cells)...",
-            spec.content_hash(),
-            shard.contains_count(spec.cell_count()),
-            spec.cell_count(),
-        );
-        let outcome = run_shard_supervised(
-            &registry,
-            &spec,
-            shard,
-            std::path::Path::new("sweep_out"),
-            false,
-            &policy,
-        )?;
-        perf.cells(outcome.cells_run + outcome.cells_skipped);
-        // Budget-gated by `bicord analyze diff-bench` (ceiling 0): a
-        // quarantined cell in a recorded run is a perf-budget breach,
-        // not just a console warning.
-        perf.metric("quarantined_cells", outcome.quarantined.len() as f64);
-        perf.finish();
-        println!(
-            "{}",
-            rows_table(
-                &format!(
-                    "{expected_scenario} — spec {} shard {shard}",
-                    spec.content_hash()
-                ),
-                &outcome.rows,
-            )
-        );
-        eprintln!("shard artifact: {}", outcome.artifact.display());
-        if !outcome.quarantined.is_empty() {
-            eprintln!(
-                "{} cells QUARANTINED {:?}; see quarantine-cell-*.json under sweep_out/",
-                outcome.quarantined.len(),
-                outcome.quarantined
-            );
-        }
-        if let Some(merged) = &outcome.merged {
-            eprintln!("merged results: {}", merged.display());
-        }
-        Ok(outcome.quarantined.len())
-    };
-    match run() {
-        Ok(0) => {}
-        // The shard survived, but quarantined cells need a re-run before
-        // the sweep is usable; signal that distinctly from hard errors.
-        Ok(_) => std::process::exit(3),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
-    true
-}
 
 /// If the `BICORD_CSV_DIR` environment variable is set, writes `table` as
 /// `<dir>/<name>.csv` (for plotting); errors are reported on stderr but
@@ -180,17 +79,16 @@ pub fn maybe_write_csv(name: &str, table: &TextTable) {
 /// `BENCH_results.json` on [`PerfRecorder::finish`].
 ///
 /// The file is a JSON array with one single-line object per experiment:
-/// `experiment`, `quick`, optionally `shard` (for `--spec --shard K/N`
-/// runs; see [`PerfRecorder::shard`]), `threads`, `cells`, `wall_ms`,
-/// and a `metrics` map of key result values. Re-running an experiment
-/// replaces its entry (matched by name + quick flag + shard), so the
-/// file accumulates the latest record per experiment — and per shard —
-/// across bench invocations.
+/// `experiment`, `quick`, `threads`, `cells`, `wall_ms`, and a `metrics`
+/// map of key result values. Re-running an experiment replaces its entry
+/// (matched by name + quick flag), so the file accumulates the latest
+/// record per experiment across bench invocations.
 ///
 /// # Example
 ///
 /// ```no_run
-/// let mut perf = bicord_bench::PerfRecorder::start("fig10_replicated");
+/// let cli = bicord_bench::BenchCli::parse_or_exit("fig10_replicated");
+/// let mut perf = bicord_bench::PerfRecorder::start("fig10_replicated", cli.quick);
 /// // ... run the experiment ...
 /// perf.cells(40);
 /// perf.metric("bicord_mean_utilization", 0.91);
@@ -199,29 +97,23 @@ pub fn maybe_write_csv(name: &str, table: &TextTable) {
 #[derive(Debug)]
 pub struct PerfRecorder {
     experiment: String,
+    quick: bool,
     started: Instant,
     cells: usize,
-    shard: Option<bicord_sweep::Shard>,
     metrics: Vec<(String, f64)>,
 }
 
 impl PerfRecorder {
-    /// Starts timing `experiment`.
-    pub fn start(experiment: &str) -> Self {
+    /// Starts timing `experiment`; `quick` tags the record as a
+    /// `--quick` run.
+    pub fn start(experiment: &str, quick: bool) -> Self {
         PerfRecorder {
             experiment: experiment.to_string(),
+            quick,
             started: Instant::now(),
             cells: 0,
-            shard: None,
             metrics: Vec::new(),
         }
-    }
-
-    /// Tags the record with the sweep shard this invocation ran, so the
-    /// records of `--shard 1/2` and `--shard 2/2` coexist in the results
-    /// file instead of replacing each other.
-    pub fn shard(&mut self, shard: bicord_sweep::Shard) {
-        self.shard = Some(shard);
     }
 
     /// Records how many independent `(seed, config)` cells the experiment
@@ -246,7 +138,7 @@ impl PerfRecorder {
             Err(_) => std::path::PathBuf::from("BENCH_results.json"),
         };
         let wall_ms = self.started.elapsed().as_secs_f64() * 1e3;
-        let record = self.record(wall_ms, quick_mode(), bicord_sim::par::num_threads());
+        let record = self.record(wall_ms, bicord_sim::par::num_threads());
         if let Err(e) = merge_record(&path, record) {
             eprintln!("warning: could not write {}: {e}", path.display());
         } else {
@@ -256,33 +148,26 @@ impl PerfRecorder {
 
     /// The record as one JSON object; its `Display` is the file's
     /// single-line layout.
-    fn record(&self, wall_ms: f64, quick: bool, threads: usize) -> Json {
-        let mut fields = vec![
-            ("experiment".to_string(), Json::Str(self.experiment.clone())),
-            ("quick".to_string(), Json::Bool(quick)),
-        ];
-        if let Some(shard) = self.shard {
-            fields.push(("shard".to_string(), Json::Str(shard.to_string())));
-        }
+    fn record(&self, wall_ms: f64, threads: usize) -> Json {
         let metrics = self
             .metrics
             .iter()
             .map(|(name, value)| (name.clone(), Json::Float(*value)))
             .collect();
-        fields.extend([
+        Json::Obj(vec![
+            ("experiment".to_string(), Json::Str(self.experiment.clone())),
+            ("quick".to_string(), Json::Bool(self.quick)),
             ("threads".to_string(), Json::Int(threads as i64)),
             ("cells".to_string(), Json::Int(self.cells as i64)),
             ("wall_ms".to_string(), Json::Float(wall_ms)),
             ("metrics".to_string(), Json::Obj(metrics)),
-        ]);
-        Json::Obj(fields)
+        ])
     }
 }
 
 /// Rewrites the results array with one record per line, replacing any
-/// existing entry with the same `(experiment, quick, shard)` as `record`.
-/// An unsharded record never matches — and never overwrites — a sharded
-/// one for the same experiment, and vice versa. An existing file that is
+/// existing entry with the same `(experiment, quick)` as `record`, so the
+/// file never holds two records under one key. An existing file that is
 /// not a JSON array is left alone and reported as an error.
 fn merge_record(path: &std::path::Path, record: Json) -> std::io::Result<()> {
     let mut entries = match std::fs::read_to_string(path) {
@@ -294,7 +179,7 @@ fn merge_record(path: &std::path::Path, record: Json) -> std::io::Result<()> {
         Err(e) => return Err(e),
     };
     entries.retain(|e| {
-        ["experiment", "quick", "shard"]
+        ["experiment", "quick"]
             .iter()
             .any(|key| e.get(key) != record.get(key))
     });
@@ -308,19 +193,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn full_counts_without_flag() {
-        // The test harness does not pass --quick.
-        assert_eq!(run_count(600, 60), 600);
-        assert_eq!(run_duration(60, 5), SimDuration::from_secs(60));
-    }
-
-    #[test]
     fn record_serializes_to_one_line() {
-        let mut p = PerfRecorder::start("demo");
+        let mut p = PerfRecorder::start("demo", true);
         p.cells(12);
         p.metric("utilization", 0.91);
         p.metric("broken", f64::NAN);
-        let line = p.record(3.25, true, 4).to_string();
+        let line = p.record(3.25, 4).to_string();
         assert!(!line.contains('\n'));
         assert_eq!(
             line,
@@ -331,27 +209,14 @@ mod tests {
     }
 
     #[test]
-    fn sharded_record_carries_the_shard_tag() {
-        let mut p = PerfRecorder::start("demo");
-        p.cells(6);
-        p.shard(bicord_sweep::Shard::parse("2/4").unwrap());
-        let line = p.record(1.5, false, 2).to_string();
-        assert_eq!(
-            line,
-            "{\"experiment\": \"demo\", \"quick\": false, \"shard\": \"2/4\", \
-             \"threads\": 2, \"cells\": 6, \"wall_ms\": 1.5, \"metrics\": {}}"
-        );
-    }
-
-    #[test]
     fn merge_replaces_same_experiment_and_keeps_others() {
         let dir = std::env::temp_dir().join(format!("bicord-bench-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_results.json");
         let rec = |name: &str, wall: f64| {
-            let mut p = PerfRecorder::start(name);
+            let mut p = PerfRecorder::start(name, false);
             p.cells(1);
-            p.record(wall, false, 1)
+            p.record(wall, 1)
         };
         merge_record(&path, rec("a", 1.0)).unwrap();
         merge_record(&path, rec("b", 2.0)).unwrap();
@@ -377,9 +242,9 @@ mod tests {
              \"wall_ms\":1,\"metrics\":{}}\n]\n",
         )
         .unwrap();
-        let mut p = PerfRecorder::start("a");
+        let mut p = PerfRecorder::start("a", false);
         p.cells(1);
-        merge_record(&path, p.record(9.0, false, 1)).unwrap();
+        merge_record(&path, p.record(9.0, 1)).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(
             text,
@@ -388,7 +253,7 @@ mod tests {
         );
         // A file that is not a results array is reported, not clobbered.
         std::fs::write(&path, "{\"experiment\": \"a\"}").unwrap();
-        assert!(merge_record(&path, p.record(9.0, false, 1)).is_err());
+        assert!(merge_record(&path, p.record(9.0, 1)).is_err());
         assert_eq!(
             std::fs::read_to_string(&path).unwrap(),
             "{\"experiment\": \"a\"}"
@@ -397,33 +262,36 @@ mod tests {
     }
 
     #[test]
-    fn sharded_and_unsharded_records_never_replace_each_other() {
+    fn merge_keys_on_experiment_and_quick_only() {
         let dir =
-            std::env::temp_dir().join(format!("bicord-bench-shard-test-{}", std::process::id()));
+            std::env::temp_dir().join(format!("bicord-bench-key-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_results.json");
-        let shard = |s: &str| bicord_sweep::Shard::parse(s).unwrap();
-        let rec = |sh: Option<&str>, wall: f64| {
-            let mut p = PerfRecorder::start("a");
+        let rec = |quick: bool, wall: f64| {
+            let mut p = PerfRecorder::start("a", quick);
             p.cells(1);
-            if let Some(s) = sh {
-                p.shard(shard(s));
-            }
-            p.record(wall, false, 1)
+            p.record(wall, 1)
         };
-        merge_record(&path, rec(None, 1.0)).unwrap();
-        merge_record(&path, rec(Some("1/2"), 2.0)).unwrap();
-        merge_record(&path, rec(Some("2/2"), 3.0)).unwrap();
+        merge_record(&path, rec(false, 1.0)).unwrap();
+        merge_record(&path, rec(true, 2.0)).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.matches("\"experiment\": \"a\"").count(), 3, "{text}");
-        // Re-running shard 1/2 replaces only that entry.
-        merge_record(&path, rec(Some("1/2"), 8.0)).unwrap();
+        assert_eq!(text.matches("\"experiment\": \"a\"").count(), 2, "{text}");
+        // Records an older recorder tagged with a shard share the quick
+        // record's key, so a new quick record replaces all of them.
+        let shard = |k: u32| {
+            format!(
+                "{{\"experiment\": \"a\", \"quick\": true, \"shard\": \"{k}/2\", \
+                 \"threads\": 1, \"cells\": 1, \"wall_ms\": 5, \"metrics\": {{}}}}"
+            )
+        };
+        std::fs::write(&path, format!("[\n{},\n{}\n]\n", shard(1), shard(2))).unwrap();
+        merge_record(&path, rec(true, 8.0)).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.matches("\"experiment\": \"a\"").count(), 3, "{text}");
-        assert!(text.contains("\"wall_ms\": 8"), "{text}");
-        assert!(!text.contains("\"wall_ms\": 2,"), "{text}");
-        assert!(text.contains("\"wall_ms\": 1,"), "{text}");
-        assert!(text.contains("\"wall_ms\": 3,"), "{text}");
+        assert_eq!(
+            text,
+            "[\n{\"experiment\": \"a\", \"quick\": true, \"threads\": 1, \
+             \"cells\": 1, \"wall_ms\": 8, \"metrics\": {}}\n]\n"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

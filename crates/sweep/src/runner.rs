@@ -260,37 +260,6 @@ fn persist_quarantine(
     Ok(())
 }
 
-/// One-call driver for `--spec`-mode binaries: loads `spec_path`,
-/// resolves it against `registry`, runs `shard` of it under `out_dir`,
-/// and returns the resolved spec plus the outcome (whose
-/// [`ShardOutcome::rows`] are ready for display).
-pub fn run_spec_file(
-    registry: &ScenarioRegistry,
-    spec_path: &Path,
-    shard: Shard,
-    out_dir: &Path,
-    resume: bool,
-) -> Result<(SweepSpec, ShardOutcome), SweepError> {
-    let spec = registry.resolve(&crate::load_spec(spec_path)?)?;
-    let outcome = run_shard(registry, &spec, shard, out_dir, resume)?;
-    Ok((spec, outcome))
-}
-
-/// [`run_spec_file`] with supervision: loads and resolves the spec, then
-/// runs the shard via [`run_shard_supervised`].
-pub fn run_spec_file_supervised(
-    registry: &Arc<ScenarioRegistry>,
-    spec_path: &Path,
-    shard: Shard,
-    out_dir: &Path,
-    resume: bool,
-    policy: &RunPolicy,
-) -> Result<(SweepSpec, ShardOutcome), SweepError> {
-    let spec = registry.resolve(&crate::load_spec(spec_path)?)?;
-    let outcome = run_shard_supervised(registry, &spec, shard, out_dir, resume, policy)?;
-    Ok((spec, outcome))
-}
-
 fn write_merged(
     out_dir: &Path,
     spec: &SweepSpec,

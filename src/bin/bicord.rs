@@ -176,13 +176,22 @@ fn parse_fault_profile(s: &str) -> Result<FaultProfile, String> {
     Ok(profile)
 }
 
+/// The value after flag `name`; a missing value, or another flag in its
+/// place, is an error naming both.
+fn flag_value(args: &mut impl Iterator<Item = String>, name: &str) -> Result<String, String> {
+    match args.next() {
+        None => Err(format!("{name} requires a value")),
+        Some(v) if v.starts_with("--") => {
+            Err(format!("{name} requires a value, but got the flag '{v}'"))
+        }
+        Some(v) => Ok(v),
+    }
+}
+
 fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<CliOptions, String> {
     let mut options = CliOptions::default();
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
+        let mut value = |name: &str| flag_value(&mut args, name);
         match arg.as_str() {
             "--mode" => options.mode = value("--mode")?,
             "--location" => options.location = parse_location(&value("--location")?)?,
@@ -295,10 +304,7 @@ impl Default for SweepOptions {
 fn parse_sweep_args<I: Iterator<Item = String>>(mut args: I) -> Result<SweepOptions, String> {
     let mut options = SweepOptions::default();
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
+        let mut value = |name: &str| flag_value(&mut args, name);
         match arg.as_str() {
             "--spec" => options.spec = Some(std::path::PathBuf::from(value("--spec")?)),
             "--shard" => {
@@ -657,6 +663,20 @@ mod tests {
     }
 
     #[test]
+    fn a_flag_is_never_taken_as_a_value() {
+        let err = parse(&["--trace", "--timeline"]).unwrap_err();
+        assert!(
+            err.contains("--trace") && err.contains("'--timeline'"),
+            "{err}"
+        );
+        let err = parse(&["--mode", "--seconds", "3"]).unwrap_err();
+        assert!(
+            err.contains("--mode") && err.contains("'--seconds'"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn bad_location_is_an_error() {
         assert!(parse(&["--location", "Z"]).is_err());
     }
@@ -786,6 +806,20 @@ mod tests {
         assert!(parse_sweep(&["--spec", "s.json", "--threads", "0"]).is_err());
         assert!(parse_sweep(&["--spec", "s.json", "--warp"]).is_err());
         assert_eq!(parse_sweep(&["--help"]).unwrap_err(), "help");
+    }
+
+    #[test]
+    fn sweep_never_takes_a_flag_as_a_value() {
+        let err = parse_sweep(&["--spec", "s.json", "--out-dir", "--merge"]).unwrap_err();
+        assert!(
+            err.contains("--out-dir") && err.contains("'--merge'"),
+            "{err}"
+        );
+        let err = parse_sweep(&["--spec", "--resume"]).unwrap_err();
+        assert!(
+            err.contains("--spec") && err.contains("'--resume'"),
+            "{err}"
+        );
     }
 
     #[test]

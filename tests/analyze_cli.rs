@@ -118,6 +118,38 @@ fn malformed_inputs_are_errors_naming_the_file() {
     );
 }
 
+/// Two records under one `(experiment, quick)` key — here the shard
+/// tags an older recorder wrote — leave the comparison ambiguous, so
+/// either file holding them is an error naming the file and the key.
+#[test]
+fn duplicate_keys_are_errors_naming_the_file_and_key() {
+    let dir = tmpdir("duplicates");
+    let multi = "{\"experiment\": \"multi_node\", \"quick\": true, \"shard\": \"K/2\", \
+                 \"threads\": 1, \"cells\": 3, \"wall_ms\": 8.0, \
+                 \"metrics\": {\"mean_aggregate_pdr\": 0.92}}";
+    let sharded = format!(
+        "[\n{},\n{}\n]\n",
+        multi.replace('K', "1"),
+        multi.replace('K', "2")
+    );
+    std::fs::write(dir.join("clean.json"), BASELINE).unwrap();
+    std::fs::write(dir.join("sharded.json"), sharded).unwrap();
+    for (current, baseline) in [
+        ("sharded.json", "clean.json"),
+        ("clean.json", "sharded.json"),
+    ] {
+        let out = bicord(&["diff-bench", current, "--baseline", baseline], &dir);
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("sharded.json")
+                && stderr.contains("duplicate key")
+                && stderr.contains("\"multi_node\", quick true"),
+            "{stderr}"
+        );
+    }
+}
+
 #[test]
 fn within_budget_passes_and_writes_the_markdown_report() {
     let dir = tmpdir("pass");

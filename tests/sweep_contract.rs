@@ -447,3 +447,30 @@ fn transient_panics_are_retried_to_a_byte_identical_artifact() {
     std::fs::remove_dir_all(&reference_dir).ok();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Every committed spec under `specs/` loads and resolves against the
+/// built-in registry, and together the specs cover exactly the
+/// registry's scenarios: one runnable example per scenario, none stale.
+#[test]
+fn committed_specs_match_the_builtin_registry() {
+    let registry = ScenarioRegistry::builtin();
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("specs");
+    let mut spec_scenarios: Vec<String> = Vec::new();
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().and_then(|e| e.to_str()) != Some("json") {
+            continue;
+        }
+        let spec =
+            bicord::sweep::load_spec(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        registry
+            .resolve(&spec)
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        spec_scenarios.push(spec.scenario);
+    }
+    spec_scenarios.sort();
+    spec_scenarios.dedup();
+    let mut registered: Vec<String> = registry.iter().map(|s| s.name.to_string()).collect();
+    registered.sort();
+    assert_eq!(spec_scenarios, registered);
+}
