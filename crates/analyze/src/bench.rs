@@ -7,6 +7,11 @@
 //! holding two records under one key is an error, since either could be
 //! the one compared.
 //!
+//! The comparison is closed-world: a baseline entry with no counterpart
+//! in the current file, or a baseline metric a relative rule gates that
+//! the matching current entry lacks, is a breach naming the entry or
+//! metric. A run that stops recording something cannot pass by silence.
+//!
 //! # Budget rules
 //!
 //! A [`BudgetRule`] selects metrics by substring match on the experiment
@@ -301,10 +306,12 @@ pub struct BudgetRow {
     pub entry: String,
     /// Metric name.
     pub metric: String,
-    /// Baseline value (`None` for [`RuleKind::MaxValue`] rows).
+    /// Baseline value (`None` for [`RuleKind::MaxValue`] rows and
+    /// missing-entry rows).
     pub baseline: Option<f64>,
-    /// Current value.
-    pub current: f64,
+    /// Current value (`None` when the current file lacks the baseline's
+    /// entry or metric).
+    pub current: Option<f64>,
     /// Relative change in percent (`None` for absolute-ceiling rows or a
     /// zero baseline).
     pub delta_pct: Option<f64>,
@@ -317,7 +324,9 @@ pub struct BudgetRow {
 /// The full budget evaluation.
 #[derive(Debug, Clone)]
 pub struct BudgetReport {
-    /// Every gated metric, in current-file order.
+    /// Every gated metric, in current-file order, then one breach row
+    /// per baseline entry or gated baseline metric missing from the
+    /// current file, in baseline order.
     pub rows: Vec<BudgetRow>,
     /// The latency threshold in effect (for the title line).
     pub threshold_pct: f64,
@@ -338,20 +347,28 @@ impl BudgetReport {
     pub fn breach_lines(&self) -> Vec<String> {
         self.breaches()
             .iter()
-            .map(|r| match (r.baseline, r.delta_pct) {
-                (Some(base), Some(delta)) => format!(
+            .map(|r| match (r.baseline, r.current, r.delta_pct) {
+                (None, None, _) => format!("{}: baseline entry missing from current", r.entry),
+                (Some(base), None, _) => format!(
+                    "{}/{}: baseline {} missing from current (budget {})",
+                    r.entry,
+                    r.metric,
+                    fmt1(base),
+                    r.limit
+                ),
+                (Some(base), Some(cur), Some(delta)) => format!(
                     "{}/{}: {} -> {} ({delta:+.1}%, budget {})",
                     r.entry,
                     r.metric,
                     fmt1(base),
-                    fmt1(r.current),
+                    fmt1(cur),
                     r.limit
                 ),
-                _ => format!(
+                (_, Some(cur), _) => format!(
                     "{}/{}: {} (budget {})",
                     r.entry,
                     r.metric,
-                    fmt1(r.current),
+                    fmt1(cur),
                     r.limit
                 ),
             })
@@ -445,7 +462,7 @@ fn row_cells(r: &BudgetRow) -> Vec<String> {
         r.entry.clone(),
         r.metric.clone(),
         r.baseline.map(fmt1).unwrap_or_else(|| "-".to_string()),
-        fmt1(r.current),
+        r.current.map(fmt1).unwrap_or_else(|| "missing".to_string()),
         r.delta_pct
             .map(|d| format!("{d:+.1}"))
             .unwrap_or_else(|| "-".to_string()),
@@ -461,7 +478,9 @@ fn row_cells(r: &BudgetRow) -> Vec<String> {
 ///
 /// Every current-file metric is gated by the *first* rule that matches
 /// it, so specific rules should precede catch-alls in a custom rules
-/// file.
+/// file. A baseline entry absent from `current`, or a baseline metric
+/// gated by a relative rule and absent from its current entry, is a
+/// breach row.
 pub fn evaluate(
     baseline: &[BenchEntry],
     current: &[BenchEntry],
@@ -483,7 +502,7 @@ pub fn evaluate(
                         entry: cur.label(),
                         metric: metric.clone(),
                         baseline: None,
-                        current: *cur_v,
+                        current: Some(*cur_v),
                         delta_pct: None,
                         limit: rule.limit_text(),
                         verdict: if *cur_v > rule.limit {
@@ -510,7 +529,7 @@ pub fn evaluate(
                         entry: cur.label(),
                         metric: metric.clone(),
                         baseline: Some(*base_v),
-                        current: *cur_v,
+                        current: Some(*cur_v),
                         delta_pct,
                         limit: rule.limit_text(),
                         verdict: if breached {
@@ -524,6 +543,32 @@ pub fn evaluate(
         }
         if needed_baseline {
             unmatched.push(cur.label());
+        }
+    }
+    for base in baseline {
+        let missing = |metric: String, baseline: Option<f64>, limit: String| BudgetRow {
+            entry: base.label(),
+            metric,
+            baseline,
+            current: None,
+            delta_pct: None,
+            limit,
+            verdict: Verdict::Breach,
+        };
+        let Some(cur) = current.iter().find(|c| c.key() == base.key()) else {
+            rows.push(missing("-".to_string(), None, "present".to_string()));
+            continue;
+        };
+        for (metric, base_v) in &base.metrics {
+            let relative_rule = rules
+                .iter()
+                .find(|r| r.matches(&base.experiment, metric))
+                .filter(|r| r.kind != RuleKind::MaxValue);
+            if let Some(rule) = relative_rule {
+                if !cur.metrics.iter().any(|(n, _)| n == metric) {
+                    rows.push(missing(metric.clone(), Some(*base_v), rule.limit_text()));
+                }
+            }
         }
     }
     BudgetReport {
@@ -681,6 +726,40 @@ mod tests {
         let report = evaluate(&[], &current, &default_rules(25.0), 25.0);
         assert_eq!(report.breach_lines().len(), 1);
         assert!(report.breach_lines()[0].contains("quarantined_cells"));
+    }
+
+    #[test]
+    fn a_baseline_entry_missing_from_current_breaches_naming_it() {
+        let full = LINE.replace("\"quick\": true", "\"quick\": false");
+        let baseline = file(&[LINE, &full, MULTI_NODE]);
+        // The full-scale record is gone; the other two are unchanged.
+        let current = file(&[LINE, MULTI_NODE]);
+        let report = evaluate(&baseline, &current, &default_rules(25.0), 25.0);
+        let breaches = report.breach_lines();
+        assert_eq!(
+            breaches,
+            vec!["dense_city_scaling: baseline entry missing from current"]
+        );
+        assert!(report.render_text().contains("FAIL"));
+        assert!(report.render_markdown().contains("**FAIL**"));
+    }
+
+    #[test]
+    fn a_gated_baseline_metric_missing_from_current_breaches_naming_it() {
+        let baseline = file(&[LINE]);
+        // The gated latency metric and the ungated flatness metric are
+        // gone; only the gated one is a gap.
+        let current = file(&[&LINE
+            .replace("\"sensed_ns_100\": 236.2, ", "")
+            .replace(", \"sensed_flatness\": 1.74", "")]);
+        let report = evaluate(&baseline, &current, &default_rules(25.0), 25.0);
+        let breaches = report.breach_lines();
+        assert_eq!(breaches.len(), 1, "{breaches:?}");
+        assert!(
+            breaches[0].contains("dense_city_scaling:quick/sensed_ns_100")
+                && breaches[0].contains("missing"),
+            "{breaches:?}"
+        );
     }
 
     #[test]

@@ -163,14 +163,21 @@ enum State {
     WaitingRetry,
 }
 
-#[derive(Debug, Clone)]
+/// The burst in progress. Between bursts it is inactive with an empty
+/// queue, which keeps its allocation for the next burst.
+#[derive(Debug, Clone, Default)]
 struct Burst {
+    active: bool,
     pending: VecDeque<(u32, usize)>,
     delivered: u32,
     failed: u32,
 }
 
 /// The ZigBee-side client state machine.
+///
+/// Every handler appends its actions to a caller-owned buffer and never
+/// touches what the buffer already holds, so a driver reuses one buffer
+/// across calls.
 ///
 /// # Example
 ///
@@ -179,7 +186,8 @@ struct Burst {
 /// use bicord_sim::SimTime;
 ///
 /// let mut client = BicordClient::new(ClientConfig::default());
-/// let actions = client.on_burst(SimTime::ZERO, 5, 50);
+/// let mut actions = Vec::new();
+/// client.on_burst(SimTime::ZERO, 5, 50, &mut actions);
 /// // The first packet goes straight to the MAC:
 /// assert!(matches!(
 ///     actions.as_slice(),
@@ -192,7 +200,7 @@ pub struct BicordClient {
     power_map: PowerMap,
     fingerprinter: Option<KMeans>,
     state: State,
-    burst: Option<Burst>,
+    burst: Burst,
     next_seq: u32,
     controls_this_request: u32,
     wifi_confirmed_at: Option<SimTime>,
@@ -220,7 +228,7 @@ impl BicordClient {
             power_map: PowerMap::new(default_power),
             fingerprinter: None,
             state: State::Idle,
-            burst: None,
+            burst: Burst::default(),
             next_seq: 0,
             controls_this_request: 0,
             wifi_confirmed_at: None,
@@ -269,23 +277,24 @@ impl BicordClient {
 
     /// `true` if no burst is in progress.
     pub fn is_idle(&self) -> bool {
-        self.state == State::Idle && self.burst.is_none()
+        self.state == State::Idle && !self.burst.active
     }
 
     /// Starts a burst of `n_packets` data frames of `bytes` each.
     ///
     /// If a burst is still in progress, the new packets are appended to it.
-    pub fn on_burst(&mut self, now: SimTime, n_packets: u32, bytes: usize) -> Vec<ClientAction> {
-        let burst = self.burst.get_or_insert_with(|| Burst {
-            pending: VecDeque::new(),
-            delivered: 0,
-            failed: 0,
-        });
+    pub fn on_burst(
+        &mut self,
+        now: SimTime,
+        n_packets: u32,
+        bytes: usize,
+        out: &mut Vec<ClientAction>,
+    ) {
+        self.burst.active = true;
         for _ in 0..n_packets {
-            burst.pending.push_back((self.next_seq, bytes));
+            self.burst.pending.push_back((self.next_seq, bytes));
             self.next_seq += 1;
         }
-        let mut actions = Vec::new();
         if self.state == State::Idle {
             if !self.channel_clear && self.wifi_confirmed(now) {
                 // The interference is known and the PowerMap entry is warm:
@@ -295,13 +304,12 @@ impl BicordClient {
                 let power = self
                     .signal_power
                     .unwrap_or(self.config.default_signal_power);
-                actions.push(ClientAction::SetTxPower(power));
-                self.begin_signaling(now, &mut actions);
+                out.push(ClientAction::SetTxPower(power));
+                self.begin_signaling(now, out);
             } else {
-                self.send_next(now, &mut actions);
+                self.send_next(now, out);
             }
         }
-        actions
     }
 
     /// Routes a MAC notification into the client.
@@ -309,21 +317,21 @@ impl BicordClient {
         &mut self,
         now: SimTime,
         notification: ZigbeeNotification,
-    ) -> Vec<ClientAction> {
-        let mut actions = Vec::new();
+        out: &mut Vec<ClientAction>,
+    ) {
         match notification {
             ZigbeeNotification::Delivered { seq, attempts } => {
-                actions.push(ClientAction::PacketDelivered { seq, attempts });
-                if let Some(burst) = self.burst.as_mut() {
-                    burst.delivered += 1;
+                out.push(ClientAction::PacketDelivered { seq, attempts });
+                if self.burst.active {
+                    self.burst.delivered += 1;
                     // The MAC already popped its copy; drop ours.
-                    burst.pending.pop_front();
+                    self.burst.pending.pop_front();
                 }
                 if self.burst_finished() {
-                    self.finish_burst(&mut actions);
+                    self.finish_burst(out);
                 } else {
                     self.state = State::BetweenPackets;
-                    actions.push(ClientAction::SetTimer {
+                    out.push(ClientAction::SetTimer {
                         timer: ClientTimer::NextPacket,
                         at: now + self.config.packet_interval,
                     });
@@ -340,7 +348,7 @@ impl BicordClient {
                             // back off and retry the data without any
                             // further cross-technology signaling.
                             self.state = State::WaitingRetry;
-                            actions.push(ClientAction::SetTimer {
+                            out.push(ClientAction::SetTimer {
                                 timer: ClientTimer::Retry,
                                 at: now + self.config.retry_backoff,
                             });
@@ -350,32 +358,30 @@ impl BicordClient {
                             let power = self
                                 .signal_power
                                 .unwrap_or(self.config.default_signal_power);
-                            actions.push(ClientAction::SetTxPower(power));
-                            self.begin_signaling(now, &mut actions);
+                            out.push(ClientAction::SetTxPower(power));
+                            self.begin_signaling(now, out);
                         } else {
                             self.state = State::Classifying;
-                            actions.push(ClientAction::CaptureTrace);
+                            out.push(ClientAction::CaptureTrace);
                         }
                     }
                 }
             }
             ZigbeeNotification::ControlSent => {
                 if self.state == State::Signaling {
-                    actions.push(ClientAction::SetTimer {
+                    out.push(ClientAction::SetTimer {
                         timer: ClientTimer::SignalGap,
                         at: now + self.config.signal_gap,
                     });
                 }
             }
         }
-        actions
     }
 
     /// Delivers the RSSI trace requested by [`ClientAction::CaptureTrace`].
-    pub fn on_trace(&mut self, now: SimTime, trace: &RssiTrace) -> Vec<ClientAction> {
-        let mut actions = Vec::new();
+    pub fn on_trace(&mut self, now: SimTime, trace: &RssiTrace, out: &mut Vec<ClientAction>) {
         if self.state != State::Classifying {
-            return actions;
+            return;
         }
         let features = extract_features(
             trace,
@@ -395,21 +401,20 @@ impl BicordClient {
                     None => self.config.default_signal_power,
                 };
                 self.signal_power = Some(power);
-                actions.push(ClientAction::SetTxPower(power));
-                self.begin_signaling(now, &mut actions);
+                out.push(ClientAction::SetTxPower(power));
+                self.begin_signaling(now, out);
             }
             _ => {
                 // Not Wi-Fi (or idle): signaling is useless — back off and
                 // retry plain CSMA later (recovery schemes are orthogonal,
                 // Sec. VII-A).
                 self.state = State::WaitingRetry;
-                actions.push(ClientAction::SetTimer {
+                out.push(ClientAction::SetTimer {
                     timer: ClientTimer::Retry,
                     at: now + self.config.retry_backoff,
                 });
             }
         }
-        actions
     }
 
     /// Notifies the client that the channel turned busy again (the Wi-Fi
@@ -420,48 +425,43 @@ impl BicordClient {
     /// immediately — flailing through `macMaxCSMABackoffs` busy CCAs first
     /// would let the Wi-Fi side's burst-end gap expire and split the burst
     /// into separate learning episodes.
-    pub fn on_channel_busy(&mut self, now: SimTime) -> Vec<ClientAction> {
+    pub fn on_channel_busy(&mut self, now: SimTime, out: &mut Vec<ClientAction>) {
         self.channel_clear = false;
-        let mut actions = Vec::new();
         if self.state == State::BetweenPackets
             && !self.burst_finished()
             && !self.csma_only_burst
             && self.wifi_confirmed(now)
         {
-            actions.push(ClientAction::CancelTimer(ClientTimer::NextPacket));
+            out.push(ClientAction::CancelTimer(ClientTimer::NextPacket));
             let power = self
                 .signal_power
                 .unwrap_or(self.config.default_signal_power);
-            actions.push(ClientAction::SetTxPower(power));
-            self.begin_signaling(now, &mut actions);
+            out.push(ClientAction::SetTxPower(power));
+            self.begin_signaling(now, out);
         }
-        actions
     }
 
     /// Notifies the client that the channel went quiet (a white space
     /// opened). Resumes a signaling client's data; otherwise just records
     /// the channel state.
-    pub fn on_channel_clear(&mut self, now: SimTime) -> Vec<ClientAction> {
-        let mut actions = Vec::new();
+    pub fn on_channel_clear(&mut self, now: SimTime, out: &mut Vec<ClientAction>) {
         self.channel_clear = true;
         if self.state != State::Signaling {
-            return actions;
+            return;
         }
-        actions.push(ClientAction::CancelTimer(ClientTimer::SignalGap));
-        actions.push(ClientAction::SetTxPower(self.config.data_power));
+        out.push(ClientAction::CancelTimer(ClientTimer::SignalGap));
+        out.push(ClientAction::SetTxPower(self.config.data_power));
         self.controls_this_request = 0;
         // An answered request clears the degradation pressure.
         self.consecutive_failures = 0;
-        self.send_next(now, &mut actions);
-        actions
+        self.send_next(now, out);
     }
 
     /// Handles an expired timer.
-    pub fn on_timer(&mut self, now: SimTime, timer: ClientTimer) -> Vec<ClientAction> {
-        let mut actions = Vec::new();
+    pub fn on_timer(&mut self, now: SimTime, timer: ClientTimer, out: &mut Vec<ClientAction>) {
         match (timer, self.state) {
             (ClientTimer::NextPacket, State::BetweenPackets) => {
-                self.send_next(now, &mut actions);
+                self.send_next(now, out);
             }
             (ClientTimer::SignalGap, State::Signaling) => {
                 if self
@@ -470,7 +470,7 @@ impl BicordClient {
                     .should_continue(self.controls_this_request)
                 {
                     self.controls_this_request += 1;
-                    actions.push(ClientAction::MacSendControl {
+                    out.push(ClientAction::MacSendControl {
                         bytes: self.config.policy.control_bytes,
                     });
                 } else {
@@ -478,7 +478,7 @@ impl BicordClient {
                     // later.
                     self.controls_this_request = 0;
                     self.consecutive_failures += 1;
-                    actions.push(ClientAction::SignalingBackoff {
+                    out.push(ClientAction::SignalingBackoff {
                         failures: self.consecutive_failures,
                     });
                     if self.consecutive_failures >= self.config.max_signaling_failures.max(1) {
@@ -486,25 +486,24 @@ impl BicordClient {
                         // for this burst and degrade to plain CSMA.
                         self.csma_only_burst = true;
                         self.csma_fallbacks += 1;
-                        actions.push(ClientAction::FallbackToCsma {
+                        out.push(ClientAction::FallbackToCsma {
                             failures: self.consecutive_failures,
                         });
                         self.consecutive_failures = 0;
-                        actions.push(ClientAction::SetTxPower(self.config.data_power));
+                        out.push(ClientAction::SetTxPower(self.config.data_power));
                     }
                     self.state = State::WaitingRetry;
-                    actions.push(ClientAction::SetTimer {
+                    out.push(ClientAction::SetTimer {
                         timer: ClientTimer::Retry,
                         at: now + self.config.retry_backoff,
                     });
                 }
             }
             (ClientTimer::Retry, State::WaitingRetry) => {
-                self.send_next(now, &mut actions);
+                self.send_next(now, out);
             }
             _ => {}
         }
-        actions
     }
 
     fn begin_signaling(&mut self, _now: SimTime, actions: &mut Vec<ClientAction>) {
@@ -517,11 +516,11 @@ impl BicordClient {
     }
 
     fn send_next(&mut self, _now: SimTime, actions: &mut Vec<ClientAction>) {
-        let Some(burst) = self.burst.as_ref() else {
+        if !self.burst.active {
             self.state = State::Idle;
             return;
-        };
-        let Some(&(seq, bytes)) = burst.pending.front() else {
+        }
+        let Some(&(seq, bytes)) = self.burst.pending.front() else {
             self.finish_burst(actions);
             return;
         };
@@ -530,20 +529,22 @@ impl BicordClient {
     }
 
     fn burst_finished(&self) -> bool {
-        self.burst
-            .as_ref()
-            .map(|b| b.pending.is_empty())
-            .unwrap_or(true)
+        self.burst.pending.is_empty()
     }
 
     fn finish_burst(&mut self, actions: &mut Vec<ClientAction>) {
-        if let Some(burst) = self.burst.take() {
+        let burst = &mut self.burst;
+        if burst.active {
             actions.push(ClientAction::BurstComplete {
                 delivered: burst.delivered,
                 failed: burst.failed,
             });
             self.bursts_completed += 1;
         }
+        burst.active = false;
+        burst.pending.clear();
+        burst.delivered = 0;
+        burst.failed = 0;
         self.state = State::Idle;
         // The Wi-Fi diagnosis outlives the burst (bounded by its TTL):
         // the next burst can signal immediately. A CSMA fallback does not —
@@ -561,6 +562,13 @@ mod tests {
 
     fn client() -> BicordClient {
         BicordClient::new(ClientConfig::default())
+    }
+
+    /// Collects one handler call's actions into a fresh buffer.
+    fn acts(f: impl FnOnce(&mut Vec<ClientAction>)) -> Vec<ClientAction> {
+        let mut out = Vec::new();
+        f(&mut out);
+        out
     }
 
     fn delivered(seq: u32) -> ZigbeeNotification {
@@ -596,13 +604,13 @@ mod tests {
     #[test]
     fn clean_burst_flows_packet_by_packet() {
         let mut c = client();
-        let actions = c.on_burst(SimTime::ZERO, 3, 50);
+        let actions = acts(|o| c.on_burst(SimTime::ZERO, 3, 50, o));
         assert_eq!(
             actions,
             vec![ClientAction::MacSendData { seq: 0, bytes: 50 }]
         );
         // Packet 0 delivered → inter-packet timer:
-        let actions = c.on_mac_notification(SimTime::from_millis(3), delivered(0));
+        let actions = acts(|o| c.on_mac_notification(SimTime::from_millis(3), delivered(0), o));
         assert!(actions.contains(&ClientAction::PacketDelivered {
             seq: 0,
             attempts: 1
@@ -613,19 +621,19 @@ mod tests {
                 if *at == SimTime::from_millis(7)
         )));
         // Timer fires → packet 1:
-        let actions = c.on_timer(SimTime::from_millis(7), ClientTimer::NextPacket);
+        let actions = acts(|o| c.on_timer(SimTime::from_millis(7), ClientTimer::NextPacket, o));
         assert_eq!(
             actions,
             vec![ClientAction::MacSendData { seq: 1, bytes: 50 }]
         );
-        let _ = c.on_mac_notification(SimTime::from_millis(10), delivered(1));
-        let actions = c.on_timer(SimTime::from_millis(14), ClientTimer::NextPacket);
+        let _ = acts(|o| c.on_mac_notification(SimTime::from_millis(10), delivered(1), o));
+        let actions = acts(|o| c.on_timer(SimTime::from_millis(14), ClientTimer::NextPacket, o));
         assert_eq!(
             actions,
             vec![ClientAction::MacSendData { seq: 2, bytes: 50 }]
         );
         // Last delivery completes the burst:
-        let actions = c.on_mac_notification(SimTime::from_millis(17), delivered(2));
+        let actions = acts(|o| c.on_mac_notification(SimTime::from_millis(17), delivered(2), o));
         assert!(actions.contains(&ClientAction::BurstComplete {
             delivered: 3,
             failed: 0
@@ -637,11 +645,12 @@ mod tests {
     #[test]
     fn failure_triggers_trace_capture_then_signaling() {
         let mut c = client();
-        let _ = c.on_burst(SimTime::ZERO, 5, 50);
-        let actions = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
+        let _ = acts(|o| c.on_burst(SimTime::ZERO, 5, 50, o));
+        let actions =
+            acts(|o| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), o));
         assert_eq!(actions, vec![ClientAction::CaptureTrace]);
         // Wi-Fi verdict → set power + first control packet:
-        let actions = c.on_trace(SimTime::from_millis(21), &wifi_trace());
+        let actions = acts(|o| c.on_trace(SimTime::from_millis(21), &wifi_trace(), o));
         assert!(actions
             .iter()
             .any(|a| matches!(a, ClientAction::SetTxPower(_))));
@@ -652,12 +661,14 @@ mod tests {
     #[test]
     fn white_space_resumes_data_at_data_power() {
         let mut c = client();
-        let _ = c.on_burst(SimTime::ZERO, 2, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let _ = c.on_trace(SimTime::from_millis(21), &wifi_trace());
-        let _ = c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent);
+        let _ = acts(|o| c.on_burst(SimTime::ZERO, 2, 50, o));
+        let _ = acts(|o| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), o));
+        let _ = acts(|o| c.on_trace(SimTime::from_millis(21), &wifi_trace(), o));
+        let _ = acts(|o| {
+            c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent, o)
+        });
         // Channel clears (CTS white space):
-        let actions = c.on_channel_clear(SimTime::from_millis(28));
+        let actions = acts(|o| c.on_channel_clear(SimTime::from_millis(28), o));
         assert!(actions.contains(&ClientAction::SetTxPower(Dbm::new(0.0))));
         assert!(actions.contains(&ClientAction::MacSendData { seq: 0, bytes: 50 }));
         assert!(actions.contains(&ClientAction::CancelTimer(ClientTimer::SignalGap)));
@@ -666,11 +677,13 @@ mod tests {
     #[test]
     fn signal_gap_without_white_space_sends_another_control() {
         let mut c = client();
-        let _ = c.on_burst(SimTime::ZERO, 2, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let _ = c.on_trace(SimTime::from_millis(21), &wifi_trace());
-        let _ = c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent);
-        let actions = c.on_timer(SimTime::from_millis(32), ClientTimer::SignalGap);
+        let _ = acts(|o| c.on_burst(SimTime::ZERO, 2, 50, o));
+        let _ = acts(|o| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), o));
+        let _ = acts(|o| c.on_trace(SimTime::from_millis(21), &wifi_trace(), o));
+        let _ = acts(|o| {
+            c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent, o)
+        });
+        let actions = acts(|o| c.on_timer(SimTime::from_millis(32), ClientTimer::SignalGap, o));
         assert!(actions.contains(&ClientAction::MacSendControl { bytes: 120 }));
     }
 
@@ -684,15 +697,19 @@ mod tests {
             ..ClientConfig::default()
         };
         let mut c = BicordClient::new(cfg);
-        let _ = c.on_burst(SimTime::ZERO, 1, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let _ = c.on_trace(SimTime::from_millis(21), &wifi_trace());
+        let _ = acts(|o| c.on_burst(SimTime::ZERO, 1, 50, o));
+        let _ = acts(|o| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), o));
+        let _ = acts(|o| c.on_trace(SimTime::from_millis(21), &wifi_trace(), o));
         // Control 1 sent; gap; control 2; gap; then give up:
-        let _ = c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent);
-        let actions = c.on_timer(SimTime::from_millis(32), ClientTimer::SignalGap);
+        let _ = acts(|o| {
+            c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent, o)
+        });
+        let actions = acts(|o| c.on_timer(SimTime::from_millis(32), ClientTimer::SignalGap, o));
         assert!(actions.contains(&ClientAction::MacSendControl { bytes: 120 }));
-        let _ = c.on_mac_notification(SimTime::from_millis(37), ZigbeeNotification::ControlSent);
-        let actions = c.on_timer(SimTime::from_millis(43), ClientTimer::SignalGap);
+        let _ = acts(|o| {
+            c.on_mac_notification(SimTime::from_millis(37), ZigbeeNotification::ControlSent, o)
+        });
+        let actions = acts(|o| c.on_timer(SimTime::from_millis(43), ClientTimer::SignalGap, o));
         assert!(actions.iter().any(|a| matches!(
             a,
             ClientAction::SetTimer {
@@ -701,7 +718,7 @@ mod tests {
             }
         )));
         // Retry timer restarts plain data:
-        let actions = c.on_timer(SimTime::from_millis(93), ClientTimer::Retry);
+        let actions = acts(|o| c.on_timer(SimTime::from_millis(93), ClientTimer::Retry, o));
         assert!(actions.contains(&ClientAction::MacSendData { seq: 0, bytes: 50 }));
     }
 
@@ -710,10 +727,10 @@ mod tests {
     /// and the final timer's actions (the backoff decision) are returned.
     fn exhaust_round(c: &mut BicordClient, t0: SimTime) -> Vec<ClientAction> {
         let step = SimDuration::from_millis(6);
-        let _ = c.on_mac_notification(t0, ZigbeeNotification::ControlSent);
-        let _ = c.on_timer(t0 + step, ClientTimer::SignalGap);
-        let _ = c.on_mac_notification(t0 + step * 2, ZigbeeNotification::ControlSent);
-        c.on_timer(t0 + step * 3, ClientTimer::SignalGap)
+        let _ = acts(|o| c.on_mac_notification(t0, ZigbeeNotification::ControlSent, o));
+        let _ = acts(|o| c.on_timer(t0 + step, ClientTimer::SignalGap, o));
+        let _ = acts(|o| c.on_mac_notification(t0 + step * 2, ZigbeeNotification::ControlSent, o));
+        acts(|o| c.on_timer(t0 + step * 3, ClientTimer::SignalGap, o))
     }
 
     fn small_budget_client(max_signaling_failures: u32) -> BicordClient {
@@ -730,9 +747,9 @@ mod tests {
     #[test]
     fn unanswered_round_emits_backoff_transition() {
         let mut c = small_budget_client(3);
-        let _ = c.on_burst(SimTime::ZERO, 1, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let _ = c.on_trace(SimTime::from_millis(21), &wifi_trace());
+        let _ = acts(|o| c.on_burst(SimTime::ZERO, 1, 50, o));
+        let _ = acts(|o| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), o));
+        let _ = acts(|o| c.on_trace(SimTime::from_millis(21), &wifi_trace(), o));
         let actions = exhaust_round(&mut c, SimTime::from_millis(26));
         assert!(actions.contains(&ClientAction::SignalingBackoff { failures: 1 }));
         assert!(
@@ -747,13 +764,13 @@ mod tests {
     #[test]
     fn k_consecutive_failures_fall_back_to_csma() {
         let mut c = small_budget_client(2);
-        let _ = c.on_burst(SimTime::ZERO, 1, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let _ = c.on_trace(SimTime::from_millis(21), &wifi_trace());
+        let _ = acts(|o| c.on_burst(SimTime::ZERO, 1, 50, o));
+        let _ = acts(|o| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), o));
+        let _ = acts(|o| c.on_trace(SimTime::from_millis(21), &wifi_trace(), o));
         // Round 1 unanswered → backoff; Retry → data fails again → round 2.
         let _ = exhaust_round(&mut c, SimTime::from_millis(26));
-        let _ = c.on_timer(SimTime::from_millis(100), ClientTimer::Retry);
-        let _ = c.on_mac_notification(SimTime::from_millis(120), failed_access(0));
+        let _ = acts(|o| c.on_timer(SimTime::from_millis(100), ClientTimer::Retry, o));
+        let _ = acts(|o| c.on_mac_notification(SimTime::from_millis(120), failed_access(0), o));
         let actions = exhaust_round(&mut c, SimTime::from_millis(121));
         assert!(actions.contains(&ClientAction::SignalingBackoff { failures: 2 }));
         assert!(actions.contains(&ClientAction::FallbackToCsma { failures: 2 }));
@@ -764,8 +781,9 @@ mod tests {
         assert_eq!(c.csma_fallbacks(), 1);
         // From here the burst is CSMA-only: a further failure retries the
         // data after a backoff instead of signaling or re-classifying.
-        let _ = c.on_timer(SimTime::from_millis(200), ClientTimer::Retry);
-        let actions = c.on_mac_notification(SimTime::from_millis(220), failed_access(0));
+        let _ = acts(|o| c.on_timer(SimTime::from_millis(200), ClientTimer::Retry, o));
+        let actions =
+            acts(|o| c.on_mac_notification(SimTime::from_millis(220), failed_access(0), o));
         assert!(
             actions.iter().all(|a| matches!(
                 a,
@@ -782,20 +800,26 @@ mod tests {
     #[test]
     fn answered_request_resets_the_failure_count() {
         let mut c = small_budget_client(2);
-        let _ = c.on_burst(SimTime::ZERO, 2, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let _ = c.on_trace(SimTime::from_millis(21), &wifi_trace());
+        let _ = acts(|o| c.on_burst(SimTime::ZERO, 2, 50, o));
+        let _ = acts(|o| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), o));
+        let _ = acts(|o| c.on_trace(SimTime::from_millis(21), &wifi_trace(), o));
         // Round 1 unanswered.
         let _ = exhaust_round(&mut c, SimTime::from_millis(26));
         // Retry → data fails → round 2, but this one is answered.
-        let _ = c.on_timer(SimTime::from_millis(100), ClientTimer::Retry);
-        let _ = c.on_mac_notification(SimTime::from_millis(120), failed_access(0));
-        let _ = c.on_mac_notification(SimTime::from_millis(125), ZigbeeNotification::ControlSent);
-        let _ = c.on_channel_clear(SimTime::from_millis(127));
-        let _ = c.on_mac_notification(SimTime::from_millis(130), delivered(0));
+        let _ = acts(|o| c.on_timer(SimTime::from_millis(100), ClientTimer::Retry, o));
+        let _ = acts(|o| c.on_mac_notification(SimTime::from_millis(120), failed_access(0), o));
+        let _ = acts(|o| {
+            c.on_mac_notification(
+                SimTime::from_millis(125),
+                ZigbeeNotification::ControlSent,
+                o,
+            )
+        });
+        let _ = acts(|o| c.on_channel_clear(SimTime::from_millis(127), o));
+        let _ = acts(|o| c.on_mac_notification(SimTime::from_millis(130), delivered(0), o));
         // White space over; the next packet fails and round 3 goes
         // unanswered: the count must restart at 1, not reach k = 2.
-        let _ = c.on_channel_busy(SimTime::from_millis(140));
+        let _ = acts(|o| c.on_channel_busy(SimTime::from_millis(140), o));
         let actions = exhaust_round(&mut c, SimTime::from_millis(141));
         assert!(actions.contains(&ClientAction::SignalingBackoff { failures: 1 }));
         assert!(!actions
@@ -807,24 +831,24 @@ mod tests {
     #[test]
     fn fallback_expires_with_the_burst() {
         let mut c = small_budget_client(1);
-        let _ = c.on_burst(SimTime::ZERO, 1, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let _ = c.on_trace(SimTime::from_millis(21), &wifi_trace());
+        let _ = acts(|o| c.on_burst(SimTime::ZERO, 1, 50, o));
+        let _ = acts(|o| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), o));
+        let _ = acts(|o| c.on_trace(SimTime::from_millis(21), &wifi_trace(), o));
         // k = 1: the very first unanswered round falls back.
         let actions = exhaust_round(&mut c, SimTime::from_millis(26));
         assert!(actions
             .iter()
             .any(|a| matches!(a, ClientAction::FallbackToCsma { .. })));
         // The lone packet finally makes it through plain CSMA.
-        let _ = c.on_timer(SimTime::from_millis(100), ClientTimer::Retry);
-        let actions = c.on_mac_notification(SimTime::from_millis(120), delivered(0));
+        let _ = acts(|o| c.on_timer(SimTime::from_millis(100), ClientTimer::Retry, o));
+        let actions = acts(|o| c.on_mac_notification(SimTime::from_millis(120), delivered(0), o));
         assert!(actions.contains(&ClientAction::BurstComplete {
             delivered: 1,
             failed: 0
         }));
         // The next burst signals again (the diagnosis is still fresh):
         // degradation is per-burst, not sticky.
-        let actions = c.on_burst(SimTime::from_millis(200), 1, 50);
+        let actions = acts(|o| c.on_burst(SimTime::from_millis(200), 1, 50, o));
         assert!(
             actions.contains(&ClientAction::MacSendControl { bytes: 120 }),
             "fallback must not outlive the burst, got {actions:?}"
@@ -834,9 +858,9 @@ mod tests {
     #[test]
     fn non_wifi_interference_skips_signaling() {
         let mut c = client();
-        let _ = c.on_burst(SimTime::ZERO, 1, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let actions = c.on_trace(SimTime::from_millis(21), &bluetooth_trace());
+        let _ = acts(|o| c.on_burst(SimTime::ZERO, 1, 50, o));
+        let _ = acts(|o| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), o));
+        let actions = acts(|o| c.on_trace(SimTime::from_millis(21), &bluetooth_trace(), o));
         assert!(
             !actions
                 .iter()
@@ -855,15 +879,18 @@ mod tests {
     #[test]
     fn second_failure_in_burst_skips_classification() {
         let mut c = client();
-        let _ = c.on_burst(SimTime::ZERO, 5, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let _ = c.on_trace(SimTime::from_millis(21), &wifi_trace());
-        let _ = c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent);
-        let _ = c.on_channel_clear(SimTime::from_millis(28));
-        let _ = c.on_mac_notification(SimTime::from_millis(31), delivered(0));
-        let _ = c.on_timer(SimTime::from_millis(35), ClientTimer::NextPacket);
+        let _ = acts(|o| c.on_burst(SimTime::ZERO, 5, 50, o));
+        let _ = acts(|o| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), o));
+        let _ = acts(|o| c.on_trace(SimTime::from_millis(21), &wifi_trace(), o));
+        let _ = acts(|o| {
+            c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent, o)
+        });
+        let _ = acts(|o| c.on_channel_clear(SimTime::from_millis(28), o));
+        let _ = acts(|o| c.on_mac_notification(SimTime::from_millis(31), delivered(0), o));
+        let _ = acts(|o| c.on_timer(SimTime::from_millis(35), ClientTimer::NextPacket, o));
         // White space ended; next packet fails:
-        let actions = c.on_mac_notification(SimTime::from_millis(60), failed_access(1));
+        let actions =
+            acts(|o| c.on_mac_notification(SimTime::from_millis(60), failed_access(1), o));
         assert!(
             actions.contains(&ClientAction::MacSendControl { bytes: 120 }),
             "Wi-Fi already confirmed — go straight to signaling, got {actions:?}"
@@ -900,9 +927,9 @@ mod tests {
         );
         let cluster = model_clone.assign(&f.fingerprint());
         c.power_map_mut().insert(cluster, Dbm::new(-3.0));
-        let _ = c.on_burst(SimTime::ZERO, 1, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let actions = c.on_trace(SimTime::from_millis(21), &trace);
+        let _ = acts(|o| c.on_burst(SimTime::ZERO, 1, 50, o));
+        let _ = acts(|o| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), o));
+        let actions = acts(|o| c.on_trace(SimTime::from_millis(21), &trace, o));
         assert!(
             actions.contains(&ClientAction::SetTxPower(Dbm::new(-3.0))),
             "negotiated power must be used, got {actions:?}"
@@ -912,17 +939,17 @@ mod tests {
     #[test]
     fn appending_burst_extends_pending() {
         let mut c = client();
-        let _ = c.on_burst(SimTime::ZERO, 2, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(3), delivered(0));
+        let _ = acts(|o| c.on_burst(SimTime::ZERO, 2, 50, o));
+        let _ = acts(|o| c.on_mac_notification(SimTime::from_millis(3), delivered(0), o));
         // More data arrives mid-burst:
-        let actions = c.on_burst(SimTime::from_millis(4), 2, 50);
+        let actions = acts(|o| c.on_burst(SimTime::from_millis(4), 2, 50, o));
         assert!(actions.is_empty(), "mid-burst arrival queues silently");
-        let _ = c.on_timer(SimTime::from_millis(7), ClientTimer::NextPacket);
-        let _ = c.on_mac_notification(SimTime::from_millis(10), delivered(1));
-        let _ = c.on_timer(SimTime::from_millis(14), ClientTimer::NextPacket);
-        let _ = c.on_mac_notification(SimTime::from_millis(17), delivered(2));
-        let _ = c.on_timer(SimTime::from_millis(21), ClientTimer::NextPacket);
-        let actions = c.on_mac_notification(SimTime::from_millis(24), delivered(3));
+        let _ = acts(|o| c.on_timer(SimTime::from_millis(7), ClientTimer::NextPacket, o));
+        let _ = acts(|o| c.on_mac_notification(SimTime::from_millis(10), delivered(1), o));
+        let _ = acts(|o| c.on_timer(SimTime::from_millis(14), ClientTimer::NextPacket, o));
+        let _ = acts(|o| c.on_mac_notification(SimTime::from_millis(17), delivered(2), o));
+        let _ = acts(|o| c.on_timer(SimTime::from_millis(21), ClientTimer::NextPacket, o));
+        let actions = acts(|o| c.on_mac_notification(SimTime::from_millis(24), delivered(3), o));
         assert!(actions.contains(&ClientAction::BurstComplete {
             delivered: 4,
             failed: 0
@@ -933,18 +960,20 @@ mod tests {
     fn fresh_diagnosis_signals_immediately_on_next_burst() {
         let mut c = client();
         // Burst 1 establishes the Wi-Fi diagnosis the slow way.
-        let _ = c.on_burst(SimTime::ZERO, 1, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let _ = c.on_trace(SimTime::from_millis(21), &wifi_trace());
-        let _ = c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent);
-        let _ = c.on_channel_clear(SimTime::from_millis(28));
-        let _ = c.on_mac_notification(SimTime::from_millis(31), delivered(0));
+        let _ = acts(|o| c.on_burst(SimTime::ZERO, 1, 50, o));
+        let _ = acts(|o| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), o));
+        let _ = acts(|o| c.on_trace(SimTime::from_millis(21), &wifi_trace(), o));
+        let _ = acts(|o| {
+            c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent, o)
+        });
+        let _ = acts(|o| c.on_channel_clear(SimTime::from_millis(28), o));
+        let _ = acts(|o| c.on_mac_notification(SimTime::from_millis(31), delivered(0), o));
         assert!(c.is_idle());
         // Wi-Fi resumes (white space over) before the next burst arrives.
-        let _ = c.on_channel_busy(SimTime::from_millis(60));
+        let _ = acts(|o| c.on_channel_busy(SimTime::from_millis(60), o));
         // Burst 2 within the diagnosis TTL: no CSMA attempt, no trace —
         // straight to signaling at the remembered power.
-        let actions = c.on_burst(SimTime::from_millis(100), 1, 50);
+        let actions = acts(|o| c.on_burst(SimTime::from_millis(100), 1, 50, o));
         assert!(
             actions.contains(&ClientAction::MacSendControl { bytes: 120 }),
             "expected immediate signaling, got {actions:?}"
@@ -962,16 +991,18 @@ mod tests {
             ..ClientConfig::default()
         };
         let mut c = BicordClient::new(cfg);
-        let _ = c.on_burst(SimTime::ZERO, 1, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let _ = c.on_trace(SimTime::from_millis(21), &wifi_trace());
-        let _ = c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent);
-        let _ = c.on_channel_clear(SimTime::from_millis(28));
-        let _ = c.on_mac_notification(SimTime::from_millis(31), delivered(0));
-        let _ = c.on_channel_busy(SimTime::from_millis(60));
+        let _ = acts(|o| c.on_burst(SimTime::ZERO, 1, 50, o));
+        let _ = acts(|o| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), o));
+        let _ = acts(|o| c.on_trace(SimTime::from_millis(21), &wifi_trace(), o));
+        let _ = acts(|o| {
+            c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent, o)
+        });
+        let _ = acts(|o| c.on_channel_clear(SimTime::from_millis(28), o));
+        let _ = acts(|o| c.on_mac_notification(SimTime::from_millis(31), delivered(0), o));
+        let _ = acts(|o| c.on_channel_busy(SimTime::from_millis(60), o));
         // Next burst arrives a full second later — past the TTL: plain
         // data send first.
-        let actions = c.on_burst(SimTime::from_millis(1_100), 1, 50);
+        let actions = acts(|o| c.on_burst(SimTime::from_millis(1_100), 1, 50, o));
         assert_eq!(
             actions,
             vec![ClientAction::MacSendData { seq: 1, bytes: 50 }]
@@ -982,14 +1013,16 @@ mod tests {
     fn burst_arriving_inside_white_space_sends_directly() {
         let mut c = client();
         // Establish the diagnosis, then open a white space.
-        let _ = c.on_burst(SimTime::ZERO, 1, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let _ = c.on_trace(SimTime::from_millis(21), &wifi_trace());
-        let _ = c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent);
-        let _ = c.on_channel_clear(SimTime::from_millis(28));
-        let _ = c.on_mac_notification(SimTime::from_millis(31), delivered(0));
+        let _ = acts(|o| c.on_burst(SimTime::ZERO, 1, 50, o));
+        let _ = acts(|o| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), o));
+        let _ = acts(|o| c.on_trace(SimTime::from_millis(21), &wifi_trace(), o));
+        let _ = acts(|o| {
+            c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent, o)
+        });
+        let _ = acts(|o| c.on_channel_clear(SimTime::from_millis(28), o));
+        let _ = acts(|o| c.on_mac_notification(SimTime::from_millis(31), delivered(0), o));
         // Channel still clear: a new burst must NOT signal into silence.
-        let actions = c.on_burst(SimTime::from_millis(40), 1, 50);
+        let actions = acts(|o| c.on_burst(SimTime::from_millis(40), 1, 50, o));
         assert_eq!(
             actions,
             vec![ClientAction::MacSendData { seq: 1, bytes: 50 }],
@@ -1001,14 +1034,16 @@ mod tests {
     fn wifi_resume_preempts_waiting_client() {
         let mut c = client();
         // Mid-burst with the diagnosis fresh, waiting between packets.
-        let _ = c.on_burst(SimTime::ZERO, 3, 50);
-        let _ = c.on_mac_notification(SimTime::from_millis(20), failed_access(0));
-        let _ = c.on_trace(SimTime::from_millis(21), &wifi_trace());
-        let _ = c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent);
-        let _ = c.on_channel_clear(SimTime::from_millis(28));
-        let _ = c.on_mac_notification(SimTime::from_millis(31), delivered(0));
+        let _ = acts(|o| c.on_burst(SimTime::ZERO, 3, 50, o));
+        let _ = acts(|o| c.on_mac_notification(SimTime::from_millis(20), failed_access(0), o));
+        let _ = acts(|o| c.on_trace(SimTime::from_millis(21), &wifi_trace(), o));
+        let _ = acts(|o| {
+            c.on_mac_notification(SimTime::from_millis(26), ZigbeeNotification::ControlSent, o)
+        });
+        let _ = acts(|o| c.on_channel_clear(SimTime::from_millis(28), o));
+        let _ = acts(|o| c.on_mac_notification(SimTime::from_millis(31), delivered(0), o));
         // Now BetweenPackets; the white space ends:
-        let actions = c.on_channel_busy(SimTime::from_millis(33));
+        let actions = acts(|o| c.on_channel_busy(SimTime::from_millis(33), o));
         assert!(
             actions.contains(&ClientAction::MacSendControl { bytes: 120 }),
             "waiting client must preempt the doomed CSMA and re-signal, got {actions:?}"
@@ -1020,12 +1055,62 @@ mod tests {
     #[test]
     fn stale_timers_are_ignored() {
         let mut c = client();
-        assert!(c
-            .on_timer(SimTime::ZERO, ClientTimer::NextPacket)
-            .is_empty());
-        assert!(c.on_timer(SimTime::ZERO, ClientTimer::SignalGap).is_empty());
-        assert!(c.on_timer(SimTime::ZERO, ClientTimer::Retry).is_empty());
-        assert!(c.on_channel_clear(SimTime::ZERO).is_empty());
-        assert!(c.on_trace(SimTime::ZERO, &wifi_trace()).is_empty());
+        assert!(acts(|o| c.on_timer(SimTime::ZERO, ClientTimer::NextPacket, o)).is_empty());
+        assert!(acts(|o| c.on_timer(SimTime::ZERO, ClientTimer::SignalGap, o)).is_empty());
+        assert!(acts(|o| c.on_timer(SimTime::ZERO, ClientTimer::Retry, o)).is_empty());
+        assert!(acts(|o| c.on_channel_clear(SimTime::ZERO, o)).is_empty());
+        assert!(acts(|o| c.on_trace(SimTime::ZERO, &wifi_trace(), o)).is_empty());
+    }
+
+    /// The scenario stacks nested handler calls on one buffer, so every
+    /// handler must leave what the buffer already holds untouched and
+    /// append exactly what it would emit into an empty buffer.
+    #[test]
+    fn every_handler_appends_after_existing_actions() {
+        const SENTINEL: ClientAction = ClientAction::CaptureTrace;
+        type Step = fn(&mut BicordClient, SimTime, &mut Vec<ClientAction>);
+        // One burst through every handler: a delivery, a failure and its
+        // diagnosis, an answered signaling round, then Wi-Fi resuming.
+        let steps: [(&str, u64, Step); 10] = [
+            ("on_burst", 0, |c, t, o| c.on_burst(t, 3, 50, o)),
+            ("on_mac_notification", 3, |c, t, o| {
+                c.on_mac_notification(t, delivered(0), o)
+            }),
+            ("on_timer", 7, |c, t, o| {
+                c.on_timer(t, ClientTimer::NextPacket, o)
+            }),
+            ("on_mac_notification", 20, |c, t, o| {
+                c.on_mac_notification(t, failed_access(1), o)
+            }),
+            ("on_trace", 21, |c, t, o| c.on_trace(t, &wifi_trace(), o)),
+            ("on_mac_notification", 26, |c, t, o| {
+                c.on_mac_notification(t, ZigbeeNotification::ControlSent, o)
+            }),
+            ("on_timer", 32, |c, t, o| {
+                c.on_timer(t, ClientTimer::SignalGap, o)
+            }),
+            ("on_channel_clear", 34, |c, t, o| c.on_channel_clear(t, o)),
+            ("on_mac_notification", 37, |c, t, o| {
+                c.on_mac_notification(t, delivered(1), o)
+            }),
+            ("on_channel_busy", 39, |c, t, o| c.on_channel_busy(t, o)),
+        ];
+        let (mut fresh_client, mut seeded_client) = (client(), client());
+        let mut emitted = 0;
+        for (name, ms, step) in steps {
+            let t = SimTime::from_millis(ms);
+            let mut fresh = Vec::new();
+            step(&mut fresh_client, t, &mut fresh);
+            let mut seeded = vec![SENTINEL];
+            step(&mut seeded_client, t, &mut seeded);
+            assert_eq!(seeded[0], SENTINEL, "{name} touched the existing action");
+            assert_eq!(
+                &seeded[1..],
+                fresh.as_slice(),
+                "{name} did not append in order"
+            );
+            emitted += fresh.len();
+        }
+        assert_eq!(emitted, 17, "the walk must exercise real actions");
     }
 }

@@ -15,7 +15,7 @@
 //!   the Wi-Fi device no longer detects ZigBee traffic for a given time").
 
 use bicord_phy::csi::{CsiModel, CsiSample};
-use bicord_sim::obs::{EventSink, NoopSink, TraceEvent};
+use bicord_sim::obs::{EventSink, TraceEvent};
 use bicord_sim::{SimDuration, SimTime};
 
 use crate::allocation::{AllocatorConfig, WhiteSpaceAllocator};
@@ -68,17 +68,24 @@ impl Default for CoordinatorConfig {
 
 /// The Wi-Fi-side coordinator state machine.
 ///
+/// Every handler appends its actions to a caller-owned buffer and never
+/// touches what the buffer already holds, and writes its observability
+/// records into the sink it is given (tests pass `&mut NoopSink`).
+///
 /// # Example
 ///
 /// ```
 /// use bicord_core::coordinator::{BicordCoordinator, CoordinatorAction, CoordinatorConfig};
 /// use bicord_phy::csi::{CsiModel, CsiSample};
-/// use bicord_sim::SimTime;
+/// use bicord_sim::{NoopSink, SimTime};
 ///
 /// let mut coord = BicordCoordinator::new(CoordinatorConfig::default(), CsiModel::intel5300());
+/// let mut actions = Vec::new();
 /// // Two consecutive high-fluctuation samples = a channel request:
-/// let _ = coord.on_csi_sample(CsiSample { time: SimTime::from_millis(1), deviation: 0.6 });
-/// let actions = coord.on_csi_sample(CsiSample { time: SimTime::from_millis(2), deviation: 0.6 });
+/// for ms in [1, 2] {
+///     let sample = CsiSample { time: SimTime::from_millis(ms), deviation: 0.6 };
+///     coord.on_csi_sample(sample, &mut NoopSink, &mut actions);
+/// }
 /// assert!(actions.iter().any(|a| matches!(a, CoordinatorAction::Reserve(_))));
 /// ```
 #[derive(Debug, Clone)]
@@ -133,43 +140,33 @@ impl BicordCoordinator {
         self.respond
     }
 
-    /// Feeds one CSI sample; may emit a reservation.
-    pub fn on_csi_sample(&mut self, sample: CsiSample) -> Vec<CoordinatorAction> {
-        self.on_csi_sample_obs(sample, &mut NoopSink)
-    }
-
-    /// [`BicordCoordinator::on_csi_sample`] with observability: the
-    /// detector emits per-sample classification/detection records and the
-    /// allocator its round/estimate records into `sink`. With [`NoopSink`]
-    /// this monomorphizes to exactly `on_csi_sample`.
-    pub fn on_csi_sample_obs<S: EventSink>(
+    /// Feeds one CSI sample; may emit a reservation. The detector emits
+    /// its per-sample classification/detection records and the allocator
+    /// its round/estimate records into `sink`.
+    pub fn on_csi_sample<S: EventSink>(
         &mut self,
         sample: CsiSample,
         sink: &mut S,
-    ) -> Vec<CoordinatorAction> {
-        let Some(detection) = self.detector.push_obs(sample, sink) else {
-            return Vec::new();
-        };
-        self.on_detection_obs(detection, sink)
+        out: &mut Vec<CoordinatorAction>,
+    ) {
+        if let Some(detection) = self.detector.push_obs(sample, sink) {
+            self.on_detection(detection, sink, out);
+        }
     }
 
     /// Handles a positive detection directly (exposed for tests and for
-    /// scenarios that run their own detector).
-    pub fn on_detection(&mut self, detection: Detection) -> Vec<CoordinatorAction> {
-        self.on_detection_obs(detection, &mut NoopSink)
-    }
-
-    /// [`BicordCoordinator::on_detection`] with observability: emits the
-    /// allocator's round records and a [`TraceEvent::Reservation`] when a
-    /// white space is granted.
-    pub fn on_detection_obs<S: EventSink>(
+    /// scenarios that run their own detector). Emits the allocator's
+    /// round records and a [`TraceEvent::Reservation`] when a white space
+    /// is granted.
+    pub fn on_detection<S: EventSink>(
         &mut self,
         detection: Detection,
         sink: &mut S,
-    ) -> Vec<CoordinatorAction> {
+        out: &mut Vec<CoordinatorAction>,
+    ) {
         if !self.respond {
             self.ignored_requests += 1;
-            return Vec::new();
+            return;
         }
         let now = detection.at;
         let ws = self.allocator.on_request_obs(now, sink);
@@ -179,34 +176,30 @@ impl BicordCoordinator {
             ws_us: ws.as_micros(),
         });
         let gap = self.allocator.config().end_detect_gap;
-        vec![
+        out.extend([
             CoordinatorAction::Reserve(ws),
             CoordinatorAction::CancelTimer(CoordinatorTimer::BurstEnd),
             CoordinatorAction::SetTimer {
                 timer: CoordinatorTimer::BurstEnd,
                 at: now + ws + gap,
             },
-        ]
+        ]);
     }
 
-    /// Handles an expired timer.
-    pub fn on_timer(&mut self, now: SimTime, timer: CoordinatorTimer) -> Vec<CoordinatorAction> {
-        self.on_timer_obs(now, timer, &mut NoopSink)
-    }
-
-    /// [`BicordCoordinator::on_timer`] with observability: burst-end
-    /// timers run the allocator's estimation step, which emits its
-    /// [`TraceEvent::Estimate`]/[`TraceEvent::ReEstimate`] records.
-    pub fn on_timer_obs<S: EventSink>(
+    /// Handles an expired timer. Burst-end timers run the allocator's
+    /// estimation step, which emits its
+    /// [`TraceEvent::Estimate`]/[`TraceEvent::ReEstimate`] records and no
+    /// actions; the buffer keeps the one handler signature.
+    pub fn on_timer<S: EventSink>(
         &mut self,
         now: SimTime,
         timer: CoordinatorTimer,
         sink: &mut S,
-    ) -> Vec<CoordinatorAction> {
+        _out: &mut Vec<CoordinatorAction>,
+    ) {
         match timer {
             CoordinatorTimer::BurstEnd => {
                 self.allocator.on_burst_end_obs(now, sink);
-                Vec::new()
             }
         }
     }
@@ -222,6 +215,14 @@ impl BicordCoordinator {
 mod tests {
     use super::*;
     use crate::allocation::AllocationPhase;
+    use bicord_sim::NoopSink;
+
+    /// Collects one handler call's actions into a fresh buffer.
+    fn acts(f: impl FnOnce(&mut Vec<CoordinatorAction>)) -> Vec<CoordinatorAction> {
+        let mut out = Vec::new();
+        f(&mut out);
+        out
+    }
 
     fn coord() -> BicordCoordinator {
         BicordCoordinator::new(CoordinatorConfig::default(), CsiModel::intel5300())
@@ -244,8 +245,8 @@ mod tests {
     #[test]
     fn detection_triggers_reservation_and_burst_end_timer() {
         let mut c = coord();
-        assert!(c.on_csi_sample(high(10)).is_empty());
-        let actions = c.on_csi_sample(high(11));
+        assert!(acts(|o| c.on_csi_sample(high(10), &mut NoopSink, o)).is_empty());
+        let actions = acts(|o| c.on_csi_sample(high(11), &mut NoopSink, o));
         let ws = reserve_len(&actions).expect("reservation expected");
         assert_eq!(ws, SimDuration::from_millis(30));
         // Burst-end timer = detection + ws + 20 ms gap.
@@ -260,10 +261,17 @@ mod tests {
     #[test]
     fn quiet_gap_without_requests_ends_burst() {
         let mut c = coord();
-        let _ = c.on_csi_sample(high(10));
-        let _ = c.on_csi_sample(high(11));
+        let _ = acts(|o| c.on_csi_sample(high(10), &mut NoopSink, o));
+        let _ = acts(|o| c.on_csi_sample(high(11), &mut NoopSink, o));
         assert!(c.allocator().burst_active());
-        let _ = c.on_timer(SimTime::from_millis(61), CoordinatorTimer::BurstEnd);
+        let _ = acts(|o| {
+            c.on_timer(
+                SimTime::from_millis(61),
+                CoordinatorTimer::BurstEnd,
+                &mut NoopSink,
+                o,
+            )
+        });
         assert!(!c.allocator().burst_active());
         // Single round → converged.
         assert_eq!(c.allocator().phase(), AllocationPhase::Converged);
@@ -273,17 +281,24 @@ mod tests {
     fn repeated_requests_accumulate_rounds() {
         let mut c = coord();
         // Round 1:
-        let _ = c.on_csi_sample(high(10));
-        let _ = c.on_csi_sample(high(11));
+        let _ = acts(|o| c.on_csi_sample(high(10), &mut NoopSink, o));
+        let _ = acts(|o| c.on_csi_sample(high(11), &mut NoopSink, o));
         // Round 2 (after the white space, > holdoff later):
-        let _ = c.on_csi_sample(high(45));
-        let actions = c.on_csi_sample(high(46));
+        let _ = acts(|o| c.on_csi_sample(high(45), &mut NoopSink, o));
+        let actions = acts(|o| c.on_csi_sample(high(46), &mut NoopSink, o));
         assert!(reserve_len(&actions).is_some());
         assert_eq!(c.allocator().rounds_this_burst(), 2);
         // End of burst: Eq. 1 gives (30-16)*2 = 28 ms, below the stall-
         // breaking minimum growth of step/4, so the estimate lands at
         // 30 + 7.5 = 37.5 ms.
-        let _ = c.on_timer(SimTime::from_millis(120), CoordinatorTimer::BurstEnd);
+        let _ = acts(|o| {
+            c.on_timer(
+                SimTime::from_millis(120),
+                CoordinatorTimer::BurstEnd,
+                &mut NoopSink,
+                o,
+            )
+        });
         assert_eq!(c.allocator().estimate(), SimDuration::from_micros(37_500));
     }
 
@@ -292,15 +307,15 @@ mod tests {
         let mut c = coord();
         c.set_respond(false);
         assert!(!c.responds());
-        let _ = c.on_csi_sample(high(10));
-        let actions = c.on_csi_sample(high(11));
+        let _ = acts(|o| c.on_csi_sample(high(10), &mut NoopSink, o));
+        let actions = acts(|o| c.on_csi_sample(high(11), &mut NoopSink, o));
         assert!(actions.is_empty());
         assert_eq!(c.ignored_requests(), 1);
         assert_eq!(c.reservations(), 0);
         // Re-enabling serves the next request.
         c.set_respond(true);
-        let _ = c.on_csi_sample(high(40));
-        let actions = c.on_csi_sample(high(41));
+        let _ = acts(|o| c.on_csi_sample(high(40), &mut NoopSink, o));
+        let actions = acts(|o| c.on_csi_sample(high(41), &mut NoopSink, o));
         assert!(reserve_len(&actions).is_some());
     }
 
@@ -312,7 +327,7 @@ mod tests {
                 time: SimTime::from_micros(i * 500),
                 deviation: 0.05,
             };
-            assert!(c.on_csi_sample(s).is_empty());
+            assert!(acts(|o| c.on_csi_sample(s, &mut NoopSink, o)).is_empty());
         }
         assert_eq!(c.reservations(), 0);
     }
@@ -344,8 +359,8 @@ mod tests {
                 for (rounds, gap_ms) in bursts {
                     for _ in 0..rounds {
                         // Two highs 1 ms apart fire the detector.
-                        let _ = c.on_csi_sample(high(now_ms));
-                        let actions = c.on_csi_sample(high(now_ms + 1));
+                        let _ = acts(|o| c.on_csi_sample(high(now_ms), &mut NoopSink, o));
+                        let actions = acts(|o| c.on_csi_sample(high(now_ms + 1), &mut NoopSink, o));
                         let ws = reserve_len(&actions);
                         if let Some(ws) = ws {
                             prop_assert!(ws >= cfg.min_white_space);
@@ -365,7 +380,7 @@ mod tests {
                     let burst_end = SimTime::from_millis(now_ms)
                         + last_ws
                         + cfg.end_detect_gap;
-                    let _ = c.on_timer(burst_end, CoordinatorTimer::BurstEnd);
+                    let _ = acts(|o| c.on_timer(burst_end, CoordinatorTimer::BurstEnd, &mut NoopSink, o));
                     prop_assert!(!c.allocator().burst_active());
                     served += 1;
                     prop_assert_eq!(c.allocator().bursts_seen(), served);
@@ -379,8 +394,64 @@ mod tests {
     #[test]
     fn detector_window_reset_passthrough() {
         let mut c = coord();
-        let _ = c.on_csi_sample(high(10));
+        let _ = acts(|o| c.on_csi_sample(high(10), &mut NoopSink, o));
         c.reset_detector_window();
-        assert!(c.on_csi_sample(high(11)).is_empty(), "window was cleared");
+        assert!(
+            acts(|o| c.on_csi_sample(high(11), &mut NoopSink, o)).is_empty(),
+            "window was cleared"
+        );
+    }
+
+    /// The scenario stacks nested handler calls on one buffer, so every
+    /// handler must leave what the buffer already holds untouched and
+    /// append exactly what it would emit into an empty buffer.
+    #[test]
+    fn every_handler_appends_after_existing_actions() {
+        const SENTINEL: CoordinatorAction =
+            CoordinatorAction::CancelTimer(CoordinatorTimer::BurstEnd);
+        type Step = fn(&mut BicordCoordinator, &mut Vec<CoordinatorAction>);
+        let steps: [(&str, Step); 5] = [
+            ("on_csi_sample", |c, o| {
+                c.on_csi_sample(high(10), &mut NoopSink, o)
+            }),
+            ("on_csi_sample", |c, o| {
+                c.on_csi_sample(high(11), &mut NoopSink, o)
+            }),
+            ("on_detection", |c, o| {
+                let detection = Detection {
+                    at: SimTime::from_millis(50),
+                    window_start: SimTime::from_millis(49),
+                    highs_in_window: 2,
+                };
+                c.on_detection(detection, &mut NoopSink, o)
+            }),
+            ("on_timer", |c, o| {
+                c.on_timer(
+                    SimTime::from_millis(200),
+                    CoordinatorTimer::BurstEnd,
+                    &mut NoopSink,
+                    o,
+                )
+            }),
+            ("on_csi_sample", |c, o| {
+                c.on_csi_sample(high(300), &mut NoopSink, o)
+            }),
+        ];
+        let (mut fresh_coord, mut seeded_coord) = (coord(), coord());
+        let mut emitted = 0;
+        for (name, step) in steps {
+            let mut fresh = Vec::new();
+            step(&mut fresh_coord, &mut fresh);
+            let mut seeded = vec![SENTINEL];
+            step(&mut seeded_coord, &mut seeded);
+            assert_eq!(seeded[0], SENTINEL, "{name} touched the existing action");
+            assert_eq!(
+                &seeded[1..],
+                fresh.as_slice(),
+                "{name} did not append in order"
+            );
+            emitted += fresh.len();
+        }
+        assert_eq!(emitted, 6, "the walk must exercise real actions");
     }
 }

@@ -14,9 +14,8 @@
 //! caches it here, keyed by the fingerprint cluster from
 //! [`super::fingerprint::KMeans`].
 
-use std::collections::HashMap;
-
 use bicord_phy::units::Dbm;
+use bicord_sim::event::FastMap;
 
 /// Selects the best signaling power from `candidates`.
 ///
@@ -79,7 +78,7 @@ pub fn select_power(
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerMap {
-    entries: HashMap<usize, Dbm>,
+    entries: FastMap<usize, Dbm>,
     default: Dbm,
 }
 
@@ -88,7 +87,7 @@ impl PowerMap {
     /// devices.
     pub fn new(default: Dbm) -> Self {
         PowerMap {
-            entries: HashMap::new(),
+            entries: FastMap::default(),
             default,
         }
     }

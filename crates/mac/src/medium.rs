@@ -43,7 +43,6 @@
 //! byte-identical with culling on. See `DESIGN.md` §10 "Spatial culling
 //! & hearing radius"; [`Medium::grid_stats`] exposes cull counters.
 
-use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
 use rand::rngs::StdRng;
@@ -53,14 +52,10 @@ use bicord_phy::pathloss::PathLossModel;
 use bicord_phy::spectrum::Band;
 use bicord_phy::units::{Dbm, MilliWatt};
 use bicord_sim::dist::normal;
-use bicord_sim::event::SeqHasher;
+use bicord_sim::event::FastMap;
 use bicord_sim::{stream_rng, SeedDomain, SimTime};
 
 use crate::frames::{DeviceId, Payload};
-
-/// Hot-path maps use the sim's SplitMix-style [`SeqHasher`]: keys are
-/// small dense integers (ids), never adversarial.
-type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<SeqHasher>>;
 
 /// A `(tx band, listening band)` pair keyed by the exact bit patterns of
 /// the four band edges — bit-identical inputs are the only ones allowed
@@ -251,7 +246,7 @@ pub struct Medium {
     next_tx: u64,
     /// Static shadowing per unordered device pair, dB. The source of
     /// truth for realisations; `link_cache` only mirrors it.
-    shadowing: HashMap<(DeviceId, DeviceId), f64>,
+    shadowing: FastMap<(DeviceId, DeviceId), f64>,
     /// Memoized `(path-loss dB, shadowing dB)` per directed
     /// `(source, observer)` pair at the devices' *current* positions.
     /// Invalidated whenever either endpoint moves.
@@ -366,7 +361,7 @@ impl Medium {
             candidates: Vec::with_capacity(16),
             grid_stats: MediumGridStats::default(),
             next_tx: 0,
-            shadowing: HashMap::new(),
+            shadowing: FastMap::default(),
             link_cache: FastMap::with_capacity_and_hasher(64, BuildHasherDefault::default()),
             band_overlap: Vec::with_capacity(BAND_MEMO_CAP),
             stats: MediumCacheStats::default(),

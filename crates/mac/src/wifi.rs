@@ -91,7 +91,9 @@ enum Phase {
 ///
 /// # Example
 ///
-/// Drive one saturated transmission by hand:
+/// Every handler appends its actions to a caller-owned buffer and never
+/// touches what the buffer already holds, so a driver reuses one buffer
+/// across calls. Drive one saturated transmission by hand:
 ///
 /// ```
 /// use bicord_mac::frames::WifiPriority;
@@ -101,7 +103,8 @@ enum Phase {
 ///
 /// let mut mac = WifiMac::new(WifiRate::Dsss1, 42, 0);
 /// mac.set_saturated(Some((100, WifiPriority::Low)));
-/// let actions = mac.on_channel_idle(SimTime::ZERO);
+/// let mut actions = Vec::new();
+/// mac.on_channel_idle(SimTime::ZERO, &mut actions);
 /// // The machine first defers for DIFS:
 /// assert!(matches!(
 ///     actions.as_slice(),
@@ -189,123 +192,60 @@ impl WifiMac {
     }
 
     /// Enqueues a data frame and starts channel access if idle.
-    pub fn enqueue(&mut self, now: SimTime, spec: WifiFrameSpec) -> Vec<WifiAction> {
+    pub fn enqueue(&mut self, now: SimTime, spec: WifiFrameSpec, out: &mut Vec<WifiAction>) {
         self.queue.push_back(spec);
-        let mut actions = Vec::new();
-        self.try_advance(now, &mut actions);
-        actions
+        self.try_advance(now, out);
     }
 
     /// Requests a CTS-to-self reserving the channel for `nav` after the
     /// CTS frame — BiCord's white-space primitive. Takes priority over
     /// pending data. If a reservation is already pending, the longer NAV
     /// wins.
-    pub fn reserve_channel(&mut self, now: SimTime, nav: SimDuration) -> Vec<WifiAction> {
+    pub fn reserve_channel(&mut self, now: SimTime, nav: SimDuration, out: &mut Vec<WifiAction>) {
         self.pending_cts = Some(match self.pending_cts {
             Some(prev) => prev.max(nav),
             None => nav,
         });
-        let mut actions = Vec::new();
         // A pending CTS preempts an armed DIFS/backoff so it goes out with
         // zero backoff; it cannot preempt an in-flight frame.
         match self.phase {
             Phase::Difs { .. } | Phase::Backoff { .. } => {
-                self.cancel_access_timers(&mut actions);
+                self.cancel_access_timers(out);
                 self.phase = Phase::Blocked { frozen_slots: None };
             }
             _ => {}
         }
-        self.try_advance(now, &mut actions);
-        actions
+        self.try_advance(now, out);
     }
 
     /// Notifies the machine that carrier sense turned busy.
-    pub fn on_channel_busy(&mut self, now: SimTime) -> Vec<WifiAction> {
-        let mut actions = Vec::new();
-        self.on_channel_busy_into(now, &mut actions);
-        actions
-    }
-
-    /// Allocation-free variant of [`WifiMac::on_channel_busy`]: appends
-    /// the resulting actions to a caller-owned buffer. Carrier-sense
-    /// transitions fire on every transmission edge, so drivers on a hot
-    /// path should reuse one buffer across calls.
-    pub fn on_channel_busy_into(&mut self, now: SimTime, actions: &mut Vec<WifiAction>) {
+    pub fn on_channel_busy(&mut self, now: SimTime, out: &mut Vec<WifiAction>) {
         self.sensed_busy = true;
-        match self.phase {
-            Phase::Difs { resume_slots } => {
-                actions.push(WifiAction::CancelTimer(WifiTimer::Difs));
-                self.phase = Phase::Blocked {
-                    frozen_slots: resume_slots,
-                };
-            }
-            Phase::Backoff { until } => {
-                actions.push(WifiAction::CancelTimer(WifiTimer::Slot));
-                // Freeze the remaining whole slots.
-                let remaining = until.saturating_since(now);
-                let slots = remaining
-                    .as_micros()
-                    .div_ceil(wifi_timing::SLOT.as_micros());
-                self.phase = Phase::Blocked {
-                    frozen_slots: Some(slots.max(1) as u32),
-                };
-            }
-            _ => {}
-        }
+        self.freeze_access(now, out);
     }
 
     /// Notifies the machine that carrier sense turned idle.
-    pub fn on_channel_idle(&mut self, now: SimTime) -> Vec<WifiAction> {
-        let mut actions = Vec::new();
-        self.on_channel_idle_into(now, &mut actions);
-        actions
-    }
-
-    /// Allocation-free variant of [`WifiMac::on_channel_idle`]: appends
-    /// the resulting actions to a caller-owned buffer.
-    pub fn on_channel_idle_into(&mut self, now: SimTime, actions: &mut Vec<WifiAction>) {
+    pub fn on_channel_idle(&mut self, now: SimTime, out: &mut Vec<WifiAction>) {
         self.sensed_busy = false;
-        self.try_advance(now, actions);
+        self.try_advance(now, out);
     }
 
     /// Sets the NAV from a received CTS (another station's reservation).
-    pub fn set_nav(&mut self, now: SimTime, until: SimTime) -> Vec<WifiAction> {
-        let mut actions = Vec::new();
+    pub fn set_nav(&mut self, now: SimTime, until: SimTime, out: &mut Vec<WifiAction>) {
         if until <= self.nav_until {
-            return actions;
+            return;
         }
         self.nav_until = until;
-        match self.phase {
-            Phase::Difs { resume_slots } => {
-                actions.push(WifiAction::CancelTimer(WifiTimer::Difs));
-                self.phase = Phase::Blocked {
-                    frozen_slots: resume_slots,
-                };
-            }
-            Phase::Backoff { until } => {
-                actions.push(WifiAction::CancelTimer(WifiTimer::Slot));
-                let remaining = until.saturating_since(now);
-                let slots = remaining
-                    .as_micros()
-                    .div_ceil(wifi_timing::SLOT.as_micros());
-                self.phase = Phase::Blocked {
-                    frozen_slots: Some(slots.max(1) as u32),
-                };
-            }
-            _ => {}
-        }
-        actions.push(WifiAction::CancelTimer(WifiTimer::NavEnd));
-        actions.push(WifiAction::SetTimer {
+        self.freeze_access(now, out);
+        out.push(WifiAction::CancelTimer(WifiTimer::NavEnd));
+        out.push(WifiAction::SetTimer {
             timer: WifiTimer::NavEnd,
             at: self.nav_until,
         });
-        let _ = now;
-        actions
     }
 
     /// Handles an expired timer.
-    pub fn on_timer(&mut self, now: SimTime, timer: WifiTimer) -> Vec<WifiAction> {
-        let mut actions = Vec::new();
+    pub fn on_timer(&mut self, now: SimTime, timer: WifiTimer, out: &mut Vec<WifiAction>) {
         match timer {
             WifiTimer::Difs => {
                 if let Phase::Difs { resume_slots } = self.phase {
@@ -315,11 +255,11 @@ impl WifiMac {
                         None => self.rng.gen_range(0..=self.cw),
                     };
                     if slots == 0 {
-                        self.start_tx(now, &mut actions);
+                        self.start_tx(now, out);
                     } else {
                         let until = now + wifi_timing::SLOT * u64::from(slots);
                         self.phase = Phase::Backoff { until };
-                        actions.push(WifiAction::SetTimer {
+                        out.push(WifiAction::SetTimer {
                             timer: WifiTimer::Slot,
                             at: until,
                         });
@@ -328,35 +268,34 @@ impl WifiMac {
             }
             WifiTimer::Slot => {
                 if let Phase::Backoff { .. } = self.phase {
-                    self.start_tx(now, &mut actions);
+                    self.start_tx(now, out);
                 }
             }
             WifiTimer::NavEnd | WifiTimer::QuietEnd => {
-                self.try_advance(now, &mut actions);
+                self.try_advance(now, out);
             }
         }
-        actions
     }
 
     /// Notifies the machine that its own transmission finished.
     ///
-    /// Returns the frame kind that completed plus follow-up actions.
+    /// Returns the frame kind that completed; follow-up actions are
+    /// appended to `out`.
     ///
     /// # Panics
     ///
     /// Panics if the machine was not transmitting (a scenario wiring bug).
-    pub fn on_tx_end(&mut self, now: SimTime) -> (WifiFrameKind, Vec<WifiAction>) {
+    pub fn on_tx_end(&mut self, now: SimTime, out: &mut Vec<WifiAction>) -> WifiFrameKind {
         let kind = match self.phase {
             Phase::Transmitting { kind } => kind,
             other => panic!("on_tx_end in phase {other:?}"),
         };
-        let mut actions = Vec::new();
         self.phase = Phase::Idle;
         match kind {
             WifiFrameKind::Cts { nav } => {
                 self.cts_sent += 1;
                 self.quiet_until = now + nav;
-                actions.push(WifiAction::SetTimer {
+                out.push(WifiAction::SetTimer {
                     timer: WifiTimer::QuietEnd,
                     at: self.quiet_until,
                 });
@@ -365,8 +304,33 @@ impl WifiMac {
                 self.frames_sent += 1;
             }
         }
-        self.try_advance(now, &mut actions);
-        (kind, actions)
+        self.try_advance(now, out);
+        kind
+    }
+
+    /// Cancels an armed DIFS or backoff because the channel (carrier
+    /// sense or NAV) blocked it, freezing the remaining whole backoff
+    /// slots for the next access attempt.
+    fn freeze_access(&mut self, now: SimTime, out: &mut Vec<WifiAction>) {
+        match self.phase {
+            Phase::Difs { resume_slots } => {
+                out.push(WifiAction::CancelTimer(WifiTimer::Difs));
+                self.phase = Phase::Blocked {
+                    frozen_slots: resume_slots,
+                };
+            }
+            Phase::Backoff { until } => {
+                out.push(WifiAction::CancelTimer(WifiTimer::Slot));
+                let remaining = until.saturating_since(now);
+                let slots = remaining
+                    .as_micros()
+                    .div_ceil(wifi_timing::SLOT.as_micros());
+                self.phase = Phase::Blocked {
+                    frozen_slots: Some(slots.max(1) as u32),
+                };
+            }
+            _ => {}
+        }
     }
 
     fn has_traffic(&self) -> bool {
@@ -470,6 +434,21 @@ mod tests {
         WifiMac::new(WifiRate::Dsss1, 7, 0)
     }
 
+    /// Collects one handler call's actions into a fresh buffer.
+    fn acts(f: impl FnOnce(&mut Vec<WifiAction>)) -> Vec<WifiAction> {
+        let mut out = Vec::new();
+        f(&mut out);
+        out
+    }
+
+    /// Ends the machine's transmission: the completed kind plus its
+    /// follow-up actions.
+    fn tx_end(m: &mut WifiMac, now: SimTime) -> (WifiFrameKind, Vec<WifiAction>) {
+        let mut out = Vec::new();
+        let kind = m.on_tx_end(now, &mut out);
+        (kind, out)
+    }
+
     fn assert_timer(actions: &[WifiAction], timer: WifiTimer) -> SimTime {
         for a in actions {
             if let WifiAction::SetTimer { timer: t, at } = a {
@@ -510,7 +489,7 @@ mod tests {
                 .min_by_key(|(at, _)| *at)
                 .expect("machine stalled with no timers");
             now = next.0;
-            actions = mac.on_timer(now, next.1);
+            actions = acts(|o| mac.on_timer(now, next.1, o));
         }
         panic!("machine never transmitted");
     }
@@ -518,7 +497,7 @@ mod tests {
     #[test]
     fn idle_machine_does_nothing() {
         let mut m = mac();
-        assert!(m.on_channel_idle(SimTime::ZERO).is_empty());
+        assert!(acts(|o| m.on_channel_idle(SimTime::ZERO, o)).is_empty());
         assert!(!m.is_transmitting());
         assert_eq!(m.queue_len(), 0);
         assert_eq!(m.head_priority(), None);
@@ -527,14 +506,17 @@ mod tests {
     #[test]
     fn enqueue_starts_difs_then_backoff_then_tx() {
         let mut m = mac();
-        let actions = m.enqueue(
-            SimTime::ZERO,
-            WifiFrameSpec {
-                mpdu_bytes: 100,
-                priority: WifiPriority::Low,
-                enqueued_at: SimTime::ZERO,
-            },
-        );
+        let actions = acts(|o| {
+            m.enqueue(
+                SimTime::ZERO,
+                WifiFrameSpec {
+                    mpdu_bytes: 100,
+                    priority: WifiPriority::Low,
+                    enqueued_at: SimTime::ZERO,
+                },
+                o,
+            )
+        });
         let difs_at = assert_timer(&actions, WifiTimer::Difs);
         assert_eq!(difs_at, SimTime::from_micros(50));
         let (tx_at, kind) = drive_to_tx(&mut m, actions, SimTime::ZERO);
@@ -548,7 +530,7 @@ mod tests {
         ));
         assert!(m.is_transmitting());
         // Completing the frame counts it.
-        let (done, _) = m.on_tx_end(tx_at + SimDuration::from_micros(992));
+        let (done, _) = tx_end(&mut m, tx_at + SimDuration::from_micros(992));
         assert_eq!(done, kind);
         assert_eq!(m.frames_sent(), 1);
     }
@@ -557,9 +539,9 @@ mod tests {
     fn saturated_mode_sends_back_to_back() {
         let mut m = mac();
         m.set_saturated(Some((100, WifiPriority::Low)));
-        let actions = m.on_channel_idle(SimTime::ZERO);
+        let actions = acts(|o| m.on_channel_idle(SimTime::ZERO, o));
         let (t1, _) = drive_to_tx(&mut m, actions, SimTime::ZERO);
-        let (_, actions) = m.on_tx_end(t1 + SimDuration::from_micros(992));
+        let (_, actions) = tx_end(&mut m, t1 + SimDuration::from_micros(992));
         // Immediately re-arms DIFS for the next frame:
         let (t2, _) = drive_to_tx(&mut m, actions, t1 + SimDuration::from_micros(992));
         assert!(t2 > t1);
@@ -572,30 +554,33 @@ mod tests {
     #[test]
     fn busy_channel_freezes_backoff() {
         let mut m = mac();
-        let actions = m.enqueue(
-            SimTime::ZERO,
-            WifiFrameSpec {
-                mpdu_bytes: 100,
-                priority: WifiPriority::Low,
-                enqueued_at: SimTime::ZERO,
-            },
-        );
+        let actions = acts(|o| {
+            m.enqueue(
+                SimTime::ZERO,
+                WifiFrameSpec {
+                    mpdu_bytes: 100,
+                    priority: WifiPriority::Low,
+                    enqueued_at: SimTime::ZERO,
+                },
+                o,
+            )
+        });
         let difs_at = assert_timer(&actions, WifiTimer::Difs);
         // DIFS elapses; backoff begins (or tx if zero slots — retry seeds
         // until we get a nonzero backoff).
-        let actions = m.on_timer(difs_at, WifiTimer::Difs);
+        let actions = acts(|o| m.on_timer(difs_at, WifiTimer::Difs, o));
         if find_start_tx(&actions).is_some() {
             // Zero backoff with this seed — acceptable; nothing to freeze.
             return;
         }
         let slot_at = assert_timer(&actions, WifiTimer::Slot);
         // Channel turns busy mid-backoff:
-        let actions = m.on_channel_busy(slot_at - SimDuration::from_micros(5));
+        let actions = acts(|o| m.on_channel_busy(slot_at - SimDuration::from_micros(5), o));
         assert!(actions.contains(&WifiAction::CancelTimer(WifiTimer::Slot)));
         // Stale slot timer firing anyway is ignored:
-        assert!(m.on_timer(slot_at, WifiTimer::Slot).is_empty());
+        assert!(acts(|o| m.on_timer(slot_at, WifiTimer::Slot, o)).is_empty());
         // Idle again: DIFS then resume remaining slots.
-        let actions = m.on_channel_idle(SimTime::from_millis(2));
+        let actions = acts(|o| m.on_channel_idle(SimTime::from_millis(2), o));
         assert_timer(&actions, WifiTimer::Difs);
         let (_, kind) = drive_to_tx(&mut m, actions, SimTime::from_millis(2));
         assert!(matches!(kind, WifiFrameKind::Data { .. }));
@@ -605,15 +590,15 @@ mod tests {
     fn cts_reservation_preempts_data_and_quiets_sender() {
         let mut m = mac();
         m.set_saturated(Some((100, WifiPriority::Low)));
-        let actions = m.on_channel_idle(SimTime::ZERO);
+        let actions = acts(|o| m.on_channel_idle(SimTime::ZERO, o));
         // Before anything transmits, ask for a reservation:
         let nav = SimDuration::from_millis(30);
         let mut all = actions;
-        all.extend(m.reserve_channel(SimTime::from_micros(10), nav));
+        m.reserve_channel(SimTime::from_micros(10), nav, &mut all);
         let (tx_at, kind) = drive_to_tx(&mut m, all, SimTime::from_micros(10));
         assert_eq!(kind, WifiFrameKind::Cts { nav });
         let end = tx_at + wifi_cts_airtime(WifiRate::Dsss1);
-        let (_, actions) = m.on_tx_end(end);
+        let (_, actions) = tx_end(&mut m, end);
         assert_eq!(m.cts_sent(), 1);
         assert_eq!(m.quiet_until(), end + nav);
         // The machine must be silent until the quiet period expires:
@@ -621,7 +606,7 @@ mod tests {
         let quiet_end = assert_timer(&actions, WifiTimer::QuietEnd);
         assert_eq!(quiet_end, end + nav);
         // After QuietEnd it resumes data:
-        let actions = m.on_timer(quiet_end, WifiTimer::QuietEnd);
+        let actions = acts(|o| m.on_timer(quiet_end, WifiTimer::QuietEnd, o));
         let (_, kind) = drive_to_tx(&mut m, actions, quiet_end);
         assert!(matches!(kind, WifiFrameKind::Data { .. }));
     }
@@ -630,20 +615,18 @@ mod tests {
     fn nav_from_other_station_blocks_access() {
         let mut m = mac();
         m.set_saturated(Some((100, WifiPriority::Low)));
-        let actions = m.on_channel_idle(SimTime::ZERO);
+        let actions = acts(|o| m.on_channel_idle(SimTime::ZERO, o));
         let nav_until = SimTime::from_millis(20);
-        let mut acts = actions;
-        acts.extend(m.set_nav(SimTime::from_micros(5), nav_until));
+        let mut all = actions;
+        m.set_nav(SimTime::from_micros(5), nav_until, &mut all);
         // All access timers cancelled, NavEnd armed:
-        assert!(acts
+        assert!(all
             .iter()
             .any(|a| matches!(a, WifiAction::SetTimer { timer: WifiTimer::NavEnd, at } if *at == nav_until)));
         // DIFS firing during NAV is stale and ignored:
-        assert!(m
-            .on_timer(SimTime::from_micros(50), WifiTimer::Difs)
-            .is_empty());
+        assert!(acts(|o| m.on_timer(SimTime::from_micros(50), WifiTimer::Difs, o)).is_empty());
         // At NAV end, access restarts:
-        let actions = m.on_timer(nav_until, WifiTimer::NavEnd);
+        let actions = acts(|o| m.on_timer(nav_until, WifiTimer::NavEnd, o));
         assert_timer(&actions, WifiTimer::Difs);
     }
 
@@ -651,9 +634,9 @@ mod tests {
     fn shorter_nav_does_not_shrink_existing() {
         let mut m = mac();
         m.set_saturated(Some((100, WifiPriority::Low)));
-        let _ = m.on_channel_idle(SimTime::ZERO);
-        let _ = m.set_nav(SimTime::ZERO, SimTime::from_millis(20));
-        let actions = m.set_nav(SimTime::from_millis(1), SimTime::from_millis(10));
+        let _ = acts(|o| m.on_channel_idle(SimTime::ZERO, o));
+        let _ = acts(|o| m.set_nav(SimTime::ZERO, SimTime::from_millis(20), o));
+        let actions = acts(|o| m.set_nav(SimTime::from_millis(1), SimTime::from_millis(10), o));
         assert!(actions.is_empty(), "shorter NAV must be ignored");
     }
 
@@ -661,17 +644,20 @@ mod tests {
     fn reservation_while_transmitting_waits_for_tx_end() {
         let mut m = mac();
         m.set_saturated(Some((100, WifiPriority::Low)));
-        let actions = m.on_channel_idle(SimTime::ZERO);
+        let actions = acts(|o| m.on_channel_idle(SimTime::ZERO, o));
         let (tx_at, _) = drive_to_tx(&mut m, actions, SimTime::ZERO);
-        let actions = m.reserve_channel(
-            tx_at + SimDuration::from_micros(100),
-            SimDuration::from_millis(40),
-        );
+        let actions = acts(|o| {
+            m.reserve_channel(
+                tx_at + SimDuration::from_micros(100),
+                SimDuration::from_millis(40),
+                o,
+            )
+        });
         assert!(
             find_start_tx(&actions).is_none(),
             "cannot preempt in-flight frame"
         );
-        let (_, actions) = m.on_tx_end(tx_at + SimDuration::from_micros(992));
+        let (_, actions) = tx_end(&mut m, tx_at + SimDuration::from_micros(992));
         // Next transmission must be the CTS:
         let (_, kind) = drive_to_tx(&mut m, actions, tx_at + SimDuration::from_micros(992));
         assert!(matches!(kind, WifiFrameKind::Cts { .. }));
@@ -680,8 +666,8 @@ mod tests {
     #[test]
     fn concurrent_reservations_keep_longest_nav() {
         let mut m = mac();
-        let _ = m.reserve_channel(SimTime::ZERO, SimDuration::from_millis(30));
-        let actions = m.reserve_channel(SimTime::ZERO, SimDuration::from_millis(20));
+        let _ = acts(|o| m.reserve_channel(SimTime::ZERO, SimDuration::from_millis(30), o));
+        let actions = acts(|o| m.reserve_channel(SimTime::ZERO, SimDuration::from_millis(20), o));
         let (_, kind) = drive_to_tx(&mut m, actions, SimTime::ZERO);
         assert_eq!(
             kind,
@@ -697,14 +683,17 @@ mod tests {
         assert_eq!(m.head_priority(), None);
         m.set_saturated(Some((100, WifiPriority::Low)));
         assert_eq!(m.head_priority(), Some(WifiPriority::Low));
-        let _ = m.enqueue(
-            SimTime::ZERO,
-            WifiFrameSpec {
-                mpdu_bytes: 500,
-                priority: WifiPriority::High,
-                enqueued_at: SimTime::ZERO,
-            },
-        );
+        let _ = acts(|o| {
+            m.enqueue(
+                SimTime::ZERO,
+                WifiFrameSpec {
+                    mpdu_bytes: 500,
+                    priority: WifiPriority::High,
+                    enqueued_at: SimTime::ZERO,
+                },
+                o,
+            )
+        });
         assert_eq!(m.head_priority(), Some(WifiPriority::High));
     }
 
@@ -712,23 +701,24 @@ mod tests {
     #[should_panic(expected = "on_tx_end in phase")]
     fn tx_end_without_tx_panics() {
         let mut m = mac();
-        let _ = m.on_tx_end(SimTime::ZERO);
+        let _ = tx_end(&mut m, SimTime::ZERO);
     }
 
     #[test]
     fn reservation_during_nav_waits_for_nav_end() {
         let mut m = mac();
         let nav_until = SimTime::from_millis(15);
-        let _ = m.set_nav(SimTime::ZERO, nav_until);
+        let _ = acts(|o| m.set_nav(SimTime::ZERO, nav_until, o));
         // A reservation request during someone else's NAV must not
         // transmit before the NAV expires.
-        let actions = m.reserve_channel(SimTime::from_millis(1), SimDuration::from_millis(30));
+        let actions =
+            acts(|o| m.reserve_channel(SimTime::from_millis(1), SimDuration::from_millis(30), o));
         assert!(find_start_tx(&actions).is_none());
         // NAV expiry restarts access, and the CTS goes out with zero
         // backoff after DIFS.
-        let actions = m.on_timer(nav_until, WifiTimer::NavEnd);
+        let actions = acts(|o| m.on_timer(nav_until, WifiTimer::NavEnd, o));
         let difs_at = assert_timer(&actions, WifiTimer::Difs);
-        let actions = m.on_timer(difs_at, WifiTimer::Difs);
+        let actions = acts(|o| m.on_timer(difs_at, WifiTimer::Difs, o));
         assert!(matches!(
             find_start_tx(&actions),
             Some(WifiFrameKind::Cts { .. })
@@ -739,17 +729,21 @@ mod tests {
     fn busy_during_own_quiet_does_not_double_block() {
         let mut m = mac();
         m.set_saturated(Some((100, WifiPriority::Low)));
-        let actions = m.on_channel_idle(SimTime::ZERO);
+        let actions = acts(|o| m.on_channel_idle(SimTime::ZERO, o));
         let mut all = actions;
-        all.extend(m.reserve_channel(SimTime::from_micros(10), SimDuration::from_millis(10)));
+        m.reserve_channel(
+            SimTime::from_micros(10),
+            SimDuration::from_millis(10),
+            &mut all,
+        );
         let (tx_at, _) = drive_to_tx(&mut m, all, SimTime::from_micros(10));
         let end = tx_at + wifi_cts_airtime(WifiRate::Dsss1);
-        let (_, actions) = m.on_tx_end(end);
+        let (_, actions) = tx_end(&mut m, end);
         let quiet_end = assert_timer(&actions, WifiTimer::QuietEnd);
         // A busy/idle flap during the quiet period (e.g. the ZigBee burst
         // it reserved for) must not resurrect data access early.
-        let _ = m.on_channel_busy(end + SimDuration::from_millis(2));
-        let actions = m.on_channel_idle(end + SimDuration::from_millis(4));
+        let _ = acts(|o| m.on_channel_busy(end + SimDuration::from_millis(2), o));
+        let actions = acts(|o| m.on_channel_idle(end + SimDuration::from_millis(4), o));
         assert!(
             find_start_tx(&actions).is_none()
                 && !actions.iter().any(|a| matches!(
@@ -762,28 +756,31 @@ mod tests {
             "no channel access while the own quiet period runs: {actions:?}"
         );
         // After QuietEnd, access resumes.
-        let actions = m.on_timer(quiet_end, WifiTimer::QuietEnd);
+        let actions = acts(|o| m.on_timer(quiet_end, WifiTimer::QuietEnd, o));
         assert_timer(&actions, WifiTimer::Difs);
     }
 
     #[test]
     fn enqueue_while_blocked_does_not_start_access() {
         let mut m = mac();
-        let _ = m.on_channel_busy(SimTime::ZERO);
-        let actions = m.enqueue(
-            SimTime::from_micros(10),
-            WifiFrameSpec {
-                mpdu_bytes: 100,
-                priority: WifiPriority::Low,
-                enqueued_at: SimTime::from_micros(10),
-            },
-        );
+        let _ = acts(|o| m.on_channel_busy(SimTime::ZERO, o));
+        let actions = acts(|o| {
+            m.enqueue(
+                SimTime::from_micros(10),
+                WifiFrameSpec {
+                    mpdu_bytes: 100,
+                    priority: WifiPriority::Low,
+                    enqueued_at: SimTime::from_micros(10),
+                },
+                o,
+            )
+        });
         assert!(
             actions.is_empty(),
             "busy channel blocks access: {actions:?}"
         );
         assert_eq!(m.queue_len(), 1);
-        let actions = m.on_channel_idle(SimTime::from_millis(1));
+        let actions = acts(|o| m.on_channel_idle(SimTime::from_millis(1), o));
         assert_timer(&actions, WifiTimer::Difs);
     }
 
@@ -792,10 +789,78 @@ mod tests {
         let run = |seed| {
             let mut m = WifiMac::new(WifiRate::Dsss1, seed, 0);
             m.set_saturated(Some((100, WifiPriority::Low)));
-            let actions = m.on_channel_idle(SimTime::ZERO);
+            let actions = acts(|o| m.on_channel_idle(SimTime::ZERO, o));
             let (t, _) = drive_to_tx(&mut m, actions, SimTime::ZERO);
             t
         };
         assert_eq!(run(3), run(3));
+    }
+
+    /// The scenario stacks nested handler calls on one buffer, so every
+    /// handler must leave what the buffer already holds untouched and
+    /// append exactly what it would emit into an empty buffer.
+    #[test]
+    fn every_handler_appends_after_existing_actions() {
+        const SENTINEL: WifiAction = WifiAction::CancelTimer(WifiTimer::QuietEnd);
+        type Step = fn(&mut WifiMac, &mut Vec<WifiAction>);
+        // A walk through every handler that works for any backoff draw:
+        // blocked enqueue, NAV, a reservation preempting DIFS, the CTS and
+        // its quiet period, then data access.
+        let steps: [(&str, Step); 11] = [
+            ("on_channel_busy", |m, o| {
+                m.on_channel_busy(SimTime::ZERO, o)
+            }),
+            ("enqueue", |m, o| {
+                let spec = WifiFrameSpec {
+                    mpdu_bytes: 100,
+                    priority: WifiPriority::Low,
+                    enqueued_at: SimTime::ZERO,
+                };
+                m.enqueue(SimTime::ZERO, spec, o)
+            }),
+            ("set_nav", |m, o| {
+                m.set_nav(SimTime::ZERO, SimTime::from_millis(1), o)
+            }),
+            ("on_channel_idle", |m, o| {
+                m.on_channel_idle(SimTime::from_micros(10), o)
+            }),
+            ("on_timer", |m, o| {
+                m.on_timer(SimTime::from_millis(1), WifiTimer::NavEnd, o)
+            }),
+            ("reserve_channel", |m, o| {
+                m.reserve_channel(SimTime::from_millis(1), SimDuration::from_millis(5), o)
+            }),
+            ("on_timer", |m, o| {
+                m.on_timer(SimTime::from_micros(1_050), WifiTimer::Difs, o)
+            }),
+            ("on_tx_end", |m, o| {
+                m.on_tx_end(SimTime::from_millis(2), o);
+            }),
+            ("on_timer", |m, o| {
+                m.on_timer(SimTime::from_millis(7), WifiTimer::QuietEnd, o)
+            }),
+            ("on_timer", |m, o| {
+                m.on_timer(SimTime::from_micros(7_050), WifiTimer::Difs, o)
+            }),
+            ("on_channel_busy", |m, o| {
+                m.on_channel_busy(SimTime::from_micros(7_060), o)
+            }),
+        ];
+        let (mut fresh_mac, mut seeded_mac) = (mac(), mac());
+        let mut emitted = 0;
+        for (name, step) in steps {
+            let mut fresh = Vec::new();
+            step(&mut fresh_mac, &mut fresh);
+            let mut seeded = vec![SENTINEL];
+            step(&mut seeded_mac, &mut seeded);
+            assert_eq!(seeded[0], SENTINEL, "{name} touched the existing action");
+            assert_eq!(
+                &seeded[1..],
+                fresh.as_slice(),
+                "{name} did not append in order"
+            );
+            emitted += fresh.len();
+        }
+        assert!(emitted >= 9, "the walk must exercise real actions");
     }
 }

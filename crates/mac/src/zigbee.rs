@@ -147,6 +147,10 @@ enum Phase {
 
 /// The 802.15.4 sender state machine.
 ///
+/// Every handler appends its actions to a caller-owned buffer and never
+/// touches what the buffer already holds, so a driver reuses one buffer
+/// across calls.
+///
 /// # Example
 ///
 /// ```
@@ -154,7 +158,8 @@ enum Phase {
 /// use bicord_sim::SimTime;
 ///
 /// let mut mac = ZigbeeMac::with_defaults(42, 0);
-/// let actions = mac.send_data(SimTime::ZERO, 0, 50);
+/// let mut actions = Vec::new();
+/// mac.send_data(SimTime::ZERO, 0, 50, &mut actions);
 /// // CSMA/CA starts with a random backoff:
 /// assert!(matches!(
 ///     actions.as_slice(),
@@ -220,20 +225,22 @@ impl ZigbeeMac {
     }
 
     /// Queues a data frame for CSMA/CA transmission with ACK.
-    pub fn send_data(&mut self, now: SimTime, seq: u32, mpdu_bytes: usize) -> Vec<ZigbeeAction> {
+    pub fn send_data(
+        &mut self,
+        now: SimTime,
+        seq: u32,
+        mpdu_bytes: usize,
+        out: &mut Vec<ZigbeeAction>,
+    ) {
         self.queue.push_back(DataSpec { seq, mpdu_bytes });
-        let mut actions = Vec::new();
-        self.try_start(now, &mut actions);
-        actions
+        self.try_start(now, out);
     }
 
     /// Queues a BiCord control packet: transmitted without CCA and without
     /// ACK, at the front of the line.
-    pub fn send_control(&mut self, now: SimTime, mpdu_bytes: usize) -> Vec<ZigbeeAction> {
+    pub fn send_control(&mut self, now: SimTime, mpdu_bytes: usize, out: &mut Vec<ZigbeeAction>) {
         self.pending_control.push_back(mpdu_bytes);
-        let mut actions = Vec::new();
-        self.try_start(now, &mut actions);
-        actions
+        self.try_start(now, out);
     }
 
     /// Drops all queued traffic and aborts any pending channel access.
@@ -241,22 +248,19 @@ impl ZigbeeMac {
     /// In-flight transmissions finish on the air (the scenario still calls
     /// [`ZigbeeMac::on_tx_end`]); everything else is cancelled. Queued data
     /// frames are reported as failed with [`FailReason::ChannelAccessFailure`].
-    pub fn flush(&mut self, _now: SimTime) -> Vec<ZigbeeAction> {
-        let mut actions = Vec::new();
+    pub fn flush(&mut self, _now: SimTime, out: &mut Vec<ZigbeeAction>) {
         match self.phase {
-            Phase::Backoff { .. } => actions.push(ZigbeeAction::CancelTimer(ZigbeeTimer::Backoff)),
-            Phase::Cca { .. } => actions.push(ZigbeeAction::CancelTimer(ZigbeeTimer::Cca)),
+            Phase::Backoff { .. } => out.push(ZigbeeAction::CancelTimer(ZigbeeTimer::Backoff)),
+            Phase::Cca { .. } => out.push(ZigbeeAction::CancelTimer(ZigbeeTimer::Cca)),
             Phase::TurnaroundData | Phase::TurnaroundControl { .. } => {
-                actions.push(ZigbeeAction::CancelTimer(ZigbeeTimer::Turnaround))
+                out.push(ZigbeeAction::CancelTimer(ZigbeeTimer::Turnaround))
             }
-            Phase::AwaitAck { .. } => {
-                actions.push(ZigbeeAction::CancelTimer(ZigbeeTimer::AckTimeout))
-            }
-            Phase::Ifs => actions.push(ZigbeeAction::CancelTimer(ZigbeeTimer::Ifs)),
+            Phase::AwaitAck { .. } => out.push(ZigbeeAction::CancelTimer(ZigbeeTimer::AckTimeout)),
+            Phase::Ifs => out.push(ZigbeeAction::CancelTimer(ZigbeeTimer::Ifs)),
             Phase::Idle | Phase::Transmitting { .. } => {}
         }
         for spec in self.queue.drain(..) {
-            actions.push(ZigbeeAction::Notify(ZigbeeNotification::Failed {
+            out.push(ZigbeeAction::Notify(ZigbeeNotification::Failed {
                 seq: spec.seq,
                 reason: FailReason::ChannelAccessFailure,
             }));
@@ -266,16 +270,14 @@ impl ZigbeeMac {
         if !self.is_transmitting() {
             self.phase = Phase::Idle;
         }
-        actions
     }
 
     /// Handles an expired timer.
-    pub fn on_timer(&mut self, now: SimTime, timer: ZigbeeTimer) -> Vec<ZigbeeAction> {
-        let mut actions = Vec::new();
+    pub fn on_timer(&mut self, now: SimTime, timer: ZigbeeTimer, out: &mut Vec<ZigbeeAction>) {
         match (timer, self.phase) {
             (ZigbeeTimer::Backoff, Phase::Backoff { nb, be }) => {
                 self.phase = Phase::Cca { nb, be };
-                actions.push(ZigbeeAction::SetTimer {
+                out.push(ZigbeeAction::SetTimer {
                     timer: ZigbeeTimer::Cca,
                     at: now + zigbee_timing::CCA,
                 });
@@ -288,7 +290,7 @@ impl ZigbeeMac {
                 };
                 self.phase = Phase::Transmitting { kind };
                 self.data_sent += 1;
-                actions.push(ZigbeeAction::StartTx {
+                out.push(ZigbeeAction::StartTx {
                     kind,
                     airtime: zigbee_frame_airtime(spec.mpdu_bytes),
                 });
@@ -297,7 +299,7 @@ impl ZigbeeMac {
                 let kind = ZigbeeFrameKind::Control { mpdu_bytes };
                 self.phase = Phase::Transmitting { kind };
                 self.control_sent += 1;
-                actions.push(ZigbeeAction::StartTx {
+                out.push(ZigbeeAction::StartTx {
                     kind,
                     airtime: zigbee_frame_airtime(mpdu_bytes),
                 });
@@ -307,50 +309,34 @@ impl ZigbeeMac {
                 if self.retries > self.config.max_frame_retries {
                     self.queue.pop_front();
                     self.retries = 0;
-                    actions.push(ZigbeeAction::Notify(ZigbeeNotification::Failed {
+                    out.push(ZigbeeAction::Notify(ZigbeeNotification::Failed {
                         seq,
                         reason: FailReason::ExceededRetries,
                     }));
-                    self.enter_ifs(now, &mut actions);
+                    self.enter_ifs(now, out);
                 } else {
                     // Retransmission restarts CSMA/CA from scratch.
-                    self.begin_csma(now, &mut actions);
+                    self.begin_csma(now, out);
                 }
             }
             (ZigbeeTimer::Ifs, Phase::Ifs) => {
                 self.phase = Phase::Idle;
-                self.try_start(now, &mut actions);
+                self.try_start(now, out);
             }
             // Stale timers (cancelled logically but already popped) are
             // ignored.
             _ => {}
         }
-        actions
     }
 
     /// Reports the CCA verdict requested by a [`ZigbeeTimer::Cca`] expiry.
-    pub fn on_cca_result(&mut self, now: SimTime, busy: bool) -> Vec<ZigbeeAction> {
-        let mut actions = Vec::new();
-        self.on_cca_result_into(now, busy, &mut actions);
-        actions
-    }
-
-    /// Allocation-free variant of [`ZigbeeMac::on_cca_result`]: appends
-    /// the resulting actions to a caller-owned buffer. CCA verdicts fire
-    /// once per backoff attempt, so drivers on a hot path should reuse
-    /// one buffer across calls.
-    pub fn on_cca_result_into(
-        &mut self,
-        now: SimTime,
-        busy: bool,
-        actions: &mut Vec<ZigbeeAction>,
-    ) {
+    pub fn on_cca_result(&mut self, now: SimTime, busy: bool, out: &mut Vec<ZigbeeAction>) {
         let Phase::Cca { nb, be } = self.phase else {
             return;
         };
         if !busy {
             self.phase = Phase::TurnaroundData;
-            actions.push(ZigbeeAction::SetTimer {
+            out.push(ZigbeeAction::SetTimer {
                 timer: ZigbeeTimer::Turnaround,
                 at: now + zigbee_timing::TURNAROUND,
             });
@@ -361,15 +347,15 @@ impl ZigbeeMac {
         if nb > self.config.max_csma_backoffs {
             let spec = self.queue.pop_front().expect("cca without frame");
             self.retries = 0;
-            actions.push(ZigbeeAction::Notify(ZigbeeNotification::Failed {
+            out.push(ZigbeeAction::Notify(ZigbeeNotification::Failed {
                 seq: spec.seq,
                 reason: FailReason::ChannelAccessFailure,
             }));
             self.phase = Phase::Idle;
-            self.try_start(now, actions);
+            self.try_start(now, out);
         } else {
             self.phase = Phase::Backoff { nb, be };
-            actions.push(ZigbeeAction::SetTimer {
+            out.push(ZigbeeAction::SetTimer {
                 timer: ZigbeeTimer::Backoff,
                 at: now + self.draw_backoff(be),
             });
@@ -378,55 +364,55 @@ impl ZigbeeMac {
 
     /// Notifies the machine that its own transmission finished.
     ///
+    /// Returns the frame kind that completed; follow-up actions are
+    /// appended to `out`.
+    ///
     /// # Panics
     ///
     /// Panics if the machine was not transmitting.
-    pub fn on_tx_end(&mut self, now: SimTime) -> (ZigbeeFrameKind, Vec<ZigbeeAction>) {
+    pub fn on_tx_end(&mut self, now: SimTime, out: &mut Vec<ZigbeeAction>) -> ZigbeeFrameKind {
         let kind = match self.phase {
             Phase::Transmitting { kind } => kind,
             other => panic!("on_tx_end in phase {other:?}"),
         };
-        let mut actions = Vec::new();
         match kind {
             ZigbeeFrameKind::Data { seq, .. } => {
                 self.phase = Phase::AwaitAck { seq };
-                actions.push(ZigbeeAction::SetTimer {
+                out.push(ZigbeeAction::SetTimer {
                     timer: ZigbeeTimer::AckTimeout,
                     at: now + zigbee_timing::ACK_WAIT,
                 });
             }
             ZigbeeFrameKind::Control { .. } => {
-                actions.push(ZigbeeAction::Notify(ZigbeeNotification::ControlSent));
+                out.push(ZigbeeAction::Notify(ZigbeeNotification::ControlSent));
                 self.phase = Phase::Idle;
-                self.try_start(now, &mut actions);
+                self.try_start(now, out);
             }
             ZigbeeFrameKind::Ack { .. } => {
                 // Senders do not emit ACKs; receivers use ZigbeeReceiver.
                 self.phase = Phase::Idle;
             }
         }
-        (kind, actions)
+        kind
     }
 
     /// Delivers an ACK heard from the receiver.
-    pub fn on_ack_received(&mut self, now: SimTime, seq: u32) -> Vec<ZigbeeAction> {
-        let mut actions = Vec::new();
+    pub fn on_ack_received(&mut self, now: SimTime, seq: u32, out: &mut Vec<ZigbeeAction>) {
         let Phase::AwaitAck { seq: expected } = self.phase else {
-            return actions;
+            return;
         };
         if seq != expected {
-            return actions;
+            return;
         }
-        actions.push(ZigbeeAction::CancelTimer(ZigbeeTimer::AckTimeout));
+        out.push(ZigbeeAction::CancelTimer(ZigbeeTimer::AckTimeout));
         let attempts = self.retries + 1;
         self.retries = 0;
         self.queue.pop_front();
-        actions.push(ZigbeeAction::Notify(ZigbeeNotification::Delivered {
+        out.push(ZigbeeAction::Notify(ZigbeeNotification::Delivered {
             seq,
             attempts,
         }));
-        self.enter_ifs(now, &mut actions);
-        actions
+        self.enter_ifs(now, out);
     }
 
     fn enter_ifs(&mut self, now: SimTime, actions: &mut Vec<ZigbeeAction>) {
@@ -485,7 +471,6 @@ impl std::fmt::Debug for ZigbeeMac {
 #[derive(Debug, Default)]
 pub struct ZigbeeReceiver {
     pending_ack: Option<u32>,
-    transmitting: bool,
     frames_received: u64,
 }
 
@@ -501,39 +486,48 @@ impl ZigbeeReceiver {
     }
 
     /// Called by the scenario when a data frame was successfully decoded.
-    pub fn on_data_received(&mut self, now: SimTime, seq: u32) -> Vec<ZigbeeAction> {
+    pub fn on_data_received(&mut self, now: SimTime, seq: u32, out: &mut Vec<ZigbeeAction>) {
         self.frames_received += 1;
         self.pending_ack = Some(seq);
-        vec![ZigbeeAction::SetTimer {
+        out.push(ZigbeeAction::SetTimer {
             timer: ZigbeeTimer::Turnaround,
             at: now + zigbee_timing::TURNAROUND,
-        }]
+        });
     }
 
     /// Handles the turnaround timer: sends the pending ACK.
-    pub fn on_timer(&mut self, _now: SimTime, timer: ZigbeeTimer) -> Vec<ZigbeeAction> {
+    pub fn on_timer(&mut self, _now: SimTime, timer: ZigbeeTimer, out: &mut Vec<ZigbeeAction>) {
         if timer != ZigbeeTimer::Turnaround {
-            return Vec::new();
+            return;
         }
         let Some(seq) = self.pending_ack.take() else {
-            return Vec::new();
+            return;
         };
-        self.transmitting = true;
-        vec![ZigbeeAction::StartTx {
+        out.push(ZigbeeAction::StartTx {
             kind: ZigbeeFrameKind::Ack { seq },
             airtime: zigbee_ack_airtime(),
-        }]
-    }
-
-    /// Notifies the receiver that its ACK finished transmitting.
-    pub fn on_tx_end(&mut self, _now: SimTime) {
-        self.transmitting = false;
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Collects one handler call's actions into a fresh buffer.
+    fn acts(f: impl FnOnce(&mut Vec<ZigbeeAction>)) -> Vec<ZigbeeAction> {
+        let mut out = Vec::new();
+        f(&mut out);
+        out
+    }
+
+    /// Ends the machine's transmission: the completed kind plus its
+    /// follow-up actions.
+    fn end_tx(m: &mut ZigbeeMac, now: SimTime) -> (ZigbeeFrameKind, Vec<ZigbeeAction>) {
+        let mut out = Vec::new();
+        let kind = m.on_tx_end(now, &mut out);
+        (kind, out)
+    }
 
     fn timer_at(actions: &[ZigbeeAction], timer: ZigbeeTimer) -> SimTime {
         actions
@@ -565,13 +559,13 @@ mod tests {
     /// Runs the happy path up to the data frame being on air; returns the
     /// time the transmission started.
     fn drive_to_data_tx(mac: &mut ZigbeeMac, start: SimTime) -> SimTime {
-        let actions = mac.send_data(start, 0, 50);
+        let actions = acts(|o| mac.send_data(start, 0, 50, o));
         let backoff_at = timer_at(&actions, ZigbeeTimer::Backoff);
-        let actions = mac.on_timer(backoff_at, ZigbeeTimer::Backoff);
+        let actions = acts(|o| mac.on_timer(backoff_at, ZigbeeTimer::Backoff, o));
         let cca_at = timer_at(&actions, ZigbeeTimer::Cca);
-        let actions = mac.on_cca_result(cca_at, false);
+        let actions = acts(|o| mac.on_cca_result(cca_at, false, o));
         let turn_at = timer_at(&actions, ZigbeeTimer::Turnaround);
-        let actions = mac.on_timer(turn_at, ZigbeeTimer::Turnaround);
+        let actions = acts(|o| mac.on_timer(turn_at, ZigbeeTimer::Turnaround, o));
         assert!(matches!(
             started_tx(&actions),
             Some(ZigbeeFrameKind::Data {
@@ -587,10 +581,10 @@ mod tests {
         let mut m = ZigbeeMac::with_defaults(1, 0);
         let tx_at = drive_to_data_tx(&mut m, SimTime::ZERO);
         let tx_end = tx_at + zigbee_frame_airtime(50);
-        let (kind, actions) = m.on_tx_end(tx_end);
+        let (kind, actions) = end_tx(&mut m, tx_end);
         assert!(matches!(kind, ZigbeeFrameKind::Data { .. }));
         let _ack_deadline = timer_at(&actions, ZigbeeTimer::AckTimeout);
-        let actions = m.on_ack_received(tx_end + SimDuration::from_micros(544), 0);
+        let actions = acts(|o| m.on_ack_received(tx_end + SimDuration::from_micros(544), 0, o));
         assert_eq!(
             notifications(&actions),
             vec![ZigbeeNotification::Delivered {
@@ -601,27 +595,27 @@ mod tests {
         assert_eq!(m.queue_len(), 0);
         // IFS then idle:
         let ifs_at = timer_at(&actions, ZigbeeTimer::Ifs);
-        let _ = m.on_timer(ifs_at, ZigbeeTimer::Ifs);
+        let _ = acts(|o| m.on_timer(ifs_at, ZigbeeTimer::Ifs, o));
         assert!(m.is_idle());
     }
 
     #[test]
     fn busy_cca_backs_off_with_growing_be() {
         let mut m = ZigbeeMac::with_defaults(2, 0);
-        let actions = m.send_data(SimTime::ZERO, 0, 50);
+        let actions = acts(|o| m.send_data(SimTime::ZERO, 0, 50, o));
         let mut at = timer_at(&actions, ZigbeeTimer::Backoff);
         // First backoff must fit within (2^3 - 1) unit periods.
         assert!(at <= SimTime::ZERO + zigbee_timing::UNIT_BACKOFF * 7);
         for _ in 0..zigbee_timing::MAX_CSMA_BACKOFFS {
-            let actions = m.on_timer(at, ZigbeeTimer::Backoff);
+            let actions = acts(|o| m.on_timer(at, ZigbeeTimer::Backoff, o));
             let cca_at = timer_at(&actions, ZigbeeTimer::Cca);
-            let actions = m.on_cca_result(cca_at, true);
+            let actions = acts(|o| m.on_cca_result(cca_at, true, o));
             at = timer_at(&actions, ZigbeeTimer::Backoff);
         }
         // The (max_csma_backoffs + 1)-th busy CCA fails the frame.
-        let actions = m.on_timer(at, ZigbeeTimer::Backoff);
+        let actions = acts(|o| m.on_timer(at, ZigbeeTimer::Backoff, o));
         let cca_at = timer_at(&actions, ZigbeeTimer::Cca);
-        let actions = m.on_cca_result(cca_at, true);
+        let actions = acts(|o| m.on_cca_result(cca_at, true, o));
         assert_eq!(
             notifications(&actions),
             vec![ZigbeeNotification::Failed {
@@ -638,9 +632,9 @@ mod tests {
         let mut tx_at = drive_to_data_tx(&mut m, SimTime::ZERO);
         for attempt in 0..=zigbee_timing::MAX_FRAME_RETRIES {
             let tx_end = tx_at + zigbee_frame_airtime(50);
-            let (_, actions) = m.on_tx_end(tx_end);
+            let (_, actions) = end_tx(&mut m, tx_end);
             let deadline = timer_at(&actions, ZigbeeTimer::AckTimeout);
-            let actions = m.on_timer(deadline, ZigbeeTimer::AckTimeout);
+            let actions = acts(|o| m.on_timer(deadline, ZigbeeTimer::AckTimeout, o));
             if attempt == zigbee_timing::MAX_FRAME_RETRIES {
                 assert_eq!(
                     notifications(&actions),
@@ -653,11 +647,11 @@ mod tests {
             }
             // Retransmission: full CSMA again.
             let backoff_at = timer_at(&actions, ZigbeeTimer::Backoff);
-            let actions = m.on_timer(backoff_at, ZigbeeTimer::Backoff);
+            let actions = acts(|o| m.on_timer(backoff_at, ZigbeeTimer::Backoff, o));
             let cca_at = timer_at(&actions, ZigbeeTimer::Cca);
-            let actions = m.on_cca_result(cca_at, false);
+            let actions = acts(|o| m.on_cca_result(cca_at, false, o));
             tx_at = timer_at(&actions, ZigbeeTimer::Turnaround);
-            let actions = m.on_timer(tx_at, ZigbeeTimer::Turnaround);
+            let actions = acts(|o| m.on_timer(tx_at, ZigbeeTimer::Turnaround, o));
             assert!(started_tx(&actions).is_some());
         }
     }
@@ -667,19 +661,19 @@ mod tests {
         let mut m = ZigbeeMac::with_defaults(4, 0);
         let tx_at = drive_to_data_tx(&mut m, SimTime::ZERO);
         let tx_end = tx_at + zigbee_frame_airtime(50);
-        let (_, actions) = m.on_tx_end(tx_end);
+        let (_, actions) = end_tx(&mut m, tx_end);
         let deadline = timer_at(&actions, ZigbeeTimer::AckTimeout);
         // First attempt times out:
-        let actions = m.on_timer(deadline, ZigbeeTimer::AckTimeout);
+        let actions = acts(|o| m.on_timer(deadline, ZigbeeTimer::AckTimeout, o));
         let backoff_at = timer_at(&actions, ZigbeeTimer::Backoff);
-        let actions = m.on_timer(backoff_at, ZigbeeTimer::Backoff);
+        let actions = acts(|o| m.on_timer(backoff_at, ZigbeeTimer::Backoff, o));
         let cca_at = timer_at(&actions, ZigbeeTimer::Cca);
-        let actions = m.on_cca_result(cca_at, false);
+        let actions = acts(|o| m.on_cca_result(cca_at, false, o));
         let turn_at = timer_at(&actions, ZigbeeTimer::Turnaround);
-        let _ = m.on_timer(turn_at, ZigbeeTimer::Turnaround);
+        let _ = acts(|o| m.on_timer(turn_at, ZigbeeTimer::Turnaround, o));
         let tx_end2 = turn_at + zigbee_frame_airtime(50);
-        let (_, _) = m.on_tx_end(tx_end2);
-        let actions = m.on_ack_received(tx_end2 + SimDuration::from_micros(500), 0);
+        let (_, _) = end_tx(&mut m, tx_end2);
+        let actions = acts(|o| m.on_ack_received(tx_end2 + SimDuration::from_micros(500), 0, o));
         assert_eq!(
             notifications(&actions),
             vec![ZigbeeNotification::Delivered {
@@ -692,16 +686,16 @@ mod tests {
     #[test]
     fn control_packets_skip_cca_and_ack() {
         let mut m = ZigbeeMac::with_defaults(5, 0);
-        let actions = m.send_control(SimTime::ZERO, 120);
+        let actions = acts(|o| m.send_control(SimTime::ZERO, 120, o));
         // Straight to turnaround — no backoff, no CCA.
         let turn_at = timer_at(&actions, ZigbeeTimer::Turnaround);
         assert_eq!(turn_at, SimTime::ZERO + zigbee_timing::TURNAROUND);
-        let actions = m.on_timer(turn_at, ZigbeeTimer::Turnaround);
+        let actions = acts(|o| m.on_timer(turn_at, ZigbeeTimer::Turnaround, o));
         assert!(matches!(
             started_tx(&actions),
             Some(ZigbeeFrameKind::Control { mpdu_bytes: 120 })
         ));
-        let (_, actions) = m.on_tx_end(turn_at + zigbee_frame_airtime(120));
+        let (_, actions) = end_tx(&mut m, turn_at + zigbee_frame_airtime(120));
         assert_eq!(
             notifications(&actions),
             vec![ZigbeeNotification::ControlSent]
@@ -717,18 +711,18 @@ mod tests {
         // timers run — control still goes out first once the current CSMA
         // attempt is aborted... data already started CSMA, so let the
         // backoff lapse, CCA-busy it, and observe the control is next.
-        let actions = m.send_data(SimTime::ZERO, 0, 50);
-        let _ = m.send_control(SimTime::from_micros(10), 120);
+        let actions = acts(|o| m.send_data(SimTime::ZERO, 0, 50, o));
+        let _ = acts(|o| m.send_control(SimTime::from_micros(10), 120, o));
         let backoff_at = timer_at(&actions, ZigbeeTimer::Backoff);
-        let actions = m.on_timer(backoff_at, ZigbeeTimer::Backoff);
+        let actions = acts(|o| m.on_timer(backoff_at, ZigbeeTimer::Backoff, o));
         let cca_at = timer_at(&actions, ZigbeeTimer::Cca);
         // Channel busy 5 times → data fails, control starts next.
-        let mut actions = m.on_cca_result(cca_at, true);
+        let mut actions = acts(|o| m.on_cca_result(cca_at, true, o));
         for _ in 0..zigbee_timing::MAX_CSMA_BACKOFFS {
             let b = timer_at(&actions, ZigbeeTimer::Backoff);
-            let a2 = m.on_timer(b, ZigbeeTimer::Backoff);
+            let a2 = acts(|o| m.on_timer(b, ZigbeeTimer::Backoff, o));
             let c = timer_at(&a2, ZigbeeTimer::Cca);
-            actions = m.on_cca_result(c, true);
+            actions = acts(|o| m.on_cca_result(c, true, o));
         }
         assert!(notifications(&actions).iter().any(|n| matches!(
             n,
@@ -739,7 +733,7 @@ mod tests {
         )));
         // Control turnaround armed:
         let turn_at = timer_at(&actions, ZigbeeTimer::Turnaround);
-        let actions = m.on_timer(turn_at, ZigbeeTimer::Turnaround);
+        let actions = acts(|o| m.on_timer(turn_at, ZigbeeTimer::Turnaround, o));
         assert!(matches!(
             started_tx(&actions),
             Some(ZigbeeFrameKind::Control { .. })
@@ -749,9 +743,9 @@ mod tests {
     #[test]
     fn flush_fails_queued_frames_and_cancels_timers() {
         let mut m = ZigbeeMac::with_defaults(7, 0);
-        let _ = m.send_data(SimTime::ZERO, 0, 50);
-        let _ = m.send_data(SimTime::ZERO, 1, 50);
-        let actions = m.flush(SimTime::from_micros(100));
+        let _ = acts(|o| m.send_data(SimTime::ZERO, 0, 50, o));
+        let _ = acts(|o| m.send_data(SimTime::ZERO, 1, 50, o));
+        let actions = acts(|o| m.flush(SimTime::from_micros(100), o));
         assert!(actions.contains(&ZigbeeAction::CancelTimer(ZigbeeTimer::Backoff)));
         let n = notifications(&actions);
         assert_eq!(n.len(), 2);
@@ -762,8 +756,8 @@ mod tests {
     fn mismatched_ack_is_ignored() {
         let mut m = ZigbeeMac::with_defaults(8, 0);
         let tx_at = drive_to_data_tx(&mut m, SimTime::ZERO);
-        let (_, _) = m.on_tx_end(tx_at + zigbee_frame_airtime(50));
-        let actions = m.on_ack_received(tx_at + SimDuration::from_millis(2), 99);
+        let (_, _) = end_tx(&mut m, tx_at + zigbee_frame_airtime(50));
+        let actions = acts(|o| m.on_ack_received(tx_at + SimDuration::from_millis(2), 99, o));
         assert!(actions.is_empty());
         assert_eq!(m.queue_len(), 1, "frame must remain pending");
     }
@@ -771,31 +765,28 @@ mod tests {
     #[test]
     fn stale_timers_are_ignored() {
         let mut m = ZigbeeMac::with_defaults(9, 0);
-        assert!(m
-            .on_timer(SimTime::ZERO, ZigbeeTimer::AckTimeout)
-            .is_empty());
-        assert!(m.on_timer(SimTime::ZERO, ZigbeeTimer::Cca).is_empty());
-        assert!(m.on_cca_result(SimTime::ZERO, true).is_empty());
-        assert!(m.on_ack_received(SimTime::ZERO, 0).is_empty());
+        assert!(acts(|o| m.on_timer(SimTime::ZERO, ZigbeeTimer::AckTimeout, o)).is_empty());
+        assert!(acts(|o| m.on_timer(SimTime::ZERO, ZigbeeTimer::Cca, o)).is_empty());
+        assert!(acts(|o| m.on_cca_result(SimTime::ZERO, true, o)).is_empty());
+        assert!(acts(|o| m.on_ack_received(SimTime::ZERO, 0, o)).is_empty());
     }
 
     #[test]
     fn receiver_acks_after_turnaround() {
         let mut r = ZigbeeReceiver::new();
-        let actions = r.on_data_received(SimTime::from_millis(1), 7);
+        let actions = acts(|o| r.on_data_received(SimTime::from_millis(1), 7, o));
         let turn_at = timer_at(&actions, ZigbeeTimer::Turnaround);
         assert_eq!(turn_at, SimTime::from_millis(1) + zigbee_timing::TURNAROUND);
-        let actions = r.on_timer(turn_at, ZigbeeTimer::Turnaround);
+        let actions = acts(|o| r.on_timer(turn_at, ZigbeeTimer::Turnaround, o));
         assert!(matches!(
             started_tx(&actions),
             Some(ZigbeeFrameKind::Ack { seq: 7 })
         ));
-        r.on_tx_end(turn_at + zigbee_ack_airtime());
         assert_eq!(r.frames_received(), 1);
         // Spurious timer without pending ACK:
-        assert!(r
-            .on_timer(SimTime::from_millis(9), ZigbeeTimer::Turnaround)
-            .is_empty());
+        assert!(
+            acts(|o| r.on_timer(SimTime::from_millis(9), ZigbeeTimer::Turnaround, o)).is_empty()
+        );
     }
 
     #[test]
@@ -803,7 +794,7 @@ mod tests {
         let mut m = ZigbeeMac::with_defaults(11, 0);
         let tx_at = drive_to_data_tx(&mut m, SimTime::ZERO);
         // A control request arrives mid-transmission:
-        let actions = m.send_control(tx_at + SimDuration::from_micros(100), 120);
+        let actions = acts(|o| m.send_control(tx_at + SimDuration::from_micros(100), 120, o));
         assert!(
             started_tx(&actions).is_none(),
             "cannot start while on air: {actions:?}"
@@ -812,9 +803,9 @@ mod tests {
         // ACK times out and retries are exhausted...
         let mut now = tx_at + zigbee_frame_airtime(50);
         for _ in 0..=zigbee_timing::MAX_FRAME_RETRIES {
-            let (_, actions) = m.on_tx_end(now);
+            let (_, actions) = end_tx(&mut m, now);
             let deadline = timer_at(&actions, ZigbeeTimer::AckTimeout);
-            let actions = m.on_timer(deadline, ZigbeeTimer::AckTimeout);
+            let actions = acts(|o| m.on_timer(deadline, ZigbeeTimer::AckTimeout, o));
             if notifications(&actions)
                 .iter()
                 .any(|n| matches!(n, ZigbeeNotification::Failed { .. }))
@@ -822,9 +813,9 @@ mod tests {
                 // ... after which (IFS, then turnaround) the control packet
                 // finally goes out.
                 let ifs_at = timer_at(&actions, ZigbeeTimer::Ifs);
-                let actions = m.on_timer(ifs_at, ZigbeeTimer::Ifs);
+                let actions = acts(|o| m.on_timer(ifs_at, ZigbeeTimer::Ifs, o));
                 let turn_at = timer_at(&actions, ZigbeeTimer::Turnaround);
-                let actions = m.on_timer(turn_at, ZigbeeTimer::Turnaround);
+                let actions = acts(|o| m.on_timer(turn_at, ZigbeeTimer::Turnaround, o));
                 assert!(matches!(
                     started_tx(&actions),
                     Some(ZigbeeFrameKind::Control { .. })
@@ -832,11 +823,11 @@ mod tests {
                 return;
             }
             let backoff_at = timer_at(&actions, ZigbeeTimer::Backoff);
-            let a2 = m.on_timer(backoff_at, ZigbeeTimer::Backoff);
+            let a2 = acts(|o| m.on_timer(backoff_at, ZigbeeTimer::Backoff, o));
             let cca_at = timer_at(&a2, ZigbeeTimer::Cca);
-            let a3 = m.on_cca_result(cca_at, false);
+            let a3 = acts(|o| m.on_cca_result(cca_at, false, o));
             now = timer_at(&a3, ZigbeeTimer::Turnaround);
-            let _ = m.on_timer(now, ZigbeeTimer::Turnaround);
+            let _ = acts(|o| m.on_timer(now, ZigbeeTimer::Turnaround, o));
             now += zigbee_frame_airtime(50);
         }
         panic!("frame never exhausted its retries");
@@ -847,48 +838,53 @@ mod tests {
         let mut m = ZigbeeMac::with_defaults(12, 0);
         let tx_at = drive_to_data_tx(&mut m, SimTime::ZERO);
         let tx_end = tx_at + zigbee_frame_airtime(50);
-        let (_, _) = m.on_tx_end(tx_end);
+        let (_, _) = end_tx(&mut m, tx_end);
         // Flush while awaiting the ACK: the queued copy fails, timers are
         // cancelled, and the machine is idle afterwards.
-        let actions = m.flush(tx_end + SimDuration::from_micros(100));
+        let actions = acts(|o| m.flush(tx_end + SimDuration::from_micros(100), o));
         assert!(actions.contains(&ZigbeeAction::CancelTimer(ZigbeeTimer::AckTimeout)));
         assert_eq!(notifications(&actions).len(), 1);
         assert!(m.is_idle());
         // A late ACK for the flushed frame is ignored.
-        assert!(m
-            .on_ack_received(tx_end + SimDuration::from_millis(1), 0)
-            .is_empty());
+        assert!(acts(|o| m.on_ack_received(tx_end + SimDuration::from_millis(1), 0, o)).is_empty());
     }
 
     #[test]
     fn queue_drains_in_fifo_order_across_exchanges() {
         let mut m = ZigbeeMac::with_defaults(13, 0);
-        let _ = m.send_data(SimTime::ZERO, 0, 50);
-        let _ = m.send_data(SimTime::ZERO, 1, 50);
-        let _ = m.send_data(SimTime::ZERO, 2, 50);
+        let _ = acts(|o| m.send_data(SimTime::ZERO, 0, 50, o));
+        let _ = acts(|o| m.send_data(SimTime::ZERO, 1, 50, o));
+        let _ = acts(|o| m.send_data(SimTime::ZERO, 2, 50, o));
         let mut now = SimTime::ZERO;
         for expect_seq in 0..3u32 {
             // Walk one full successful exchange.
             // (First packet's backoff was armed by send_data; later ones by
             // the IFS expiry.)
             let actions = if expect_seq == 0 {
-                m.on_timer(now + zigbee_timing::UNIT_BACKOFF * 8, ZigbeeTimer::Backoff)
+                acts(|o| {
+                    m.on_timer(
+                        now + zigbee_timing::UNIT_BACKOFF * 8,
+                        ZigbeeTimer::Backoff,
+                        o,
+                    )
+                })
             } else {
-                m.on_timer(now, ZigbeeTimer::Backoff)
+                acts(|o| m.on_timer(now, ZigbeeTimer::Backoff, o))
             };
             let cca_at = timer_at(&actions, ZigbeeTimer::Cca);
-            let actions = m.on_cca_result(cca_at, false);
+            let actions = acts(|o| m.on_cca_result(cca_at, false, o));
             let turn_at = timer_at(&actions, ZigbeeTimer::Turnaround);
-            let actions = m.on_timer(turn_at, ZigbeeTimer::Turnaround);
+            let actions = acts(|o| m.on_timer(turn_at, ZigbeeTimer::Turnaround, o));
             match started_tx(&actions) {
                 Some(ZigbeeFrameKind::Data { seq, .. }) => assert_eq!(seq, expect_seq),
                 other => panic!("expected data frame, got {other:?}"),
             }
             let tx_end = turn_at + zigbee_frame_airtime(50);
-            let (_, _) = m.on_tx_end(tx_end);
-            let actions = m.on_ack_received(tx_end + SimDuration::from_micros(500), expect_seq);
+            let (_, _) = end_tx(&mut m, tx_end);
+            let actions =
+                acts(|o| m.on_ack_received(tx_end + SimDuration::from_micros(500), expect_seq, o));
             let ifs_at = timer_at(&actions, ZigbeeTimer::Ifs);
-            let actions = m.on_timer(ifs_at, ZigbeeTimer::Ifs);
+            let actions = acts(|o| m.on_timer(ifs_at, ZigbeeTimer::Ifs, o));
             if expect_seq < 2 {
                 now = timer_at(&actions, ZigbeeTimer::Backoff);
             }
@@ -906,5 +902,68 @@ mod tests {
             let d = m.draw_backoff(5);
             assert!(d <= zigbee_timing::UNIT_BACKOFF * 31);
         }
+    }
+
+    /// The scenario stacks nested handler calls on one buffer, so every
+    /// handler must leave what the buffer already holds untouched and
+    /// append exactly what it would emit into an empty buffer.
+    #[test]
+    fn every_handler_appends_after_existing_actions() {
+        const SENTINEL: ZigbeeAction = ZigbeeAction::CancelTimer(ZigbeeTimer::Ifs);
+        type Step = fn(&mut ZigbeeMac, &mut ZigbeeReceiver, SimTime, &mut Vec<ZigbeeAction>);
+        // Timers fire by phase, not by instant, so this walk through
+        // every handler works for any backoff draw: a control packet, a
+        // delivered data frame, then a busy CCA and a flush; finally the
+        // receiver's ACK.
+        let steps: [(&str, Step); 16] = [
+            ("send_control", |m, _, t, o| m.send_control(t, 120, o)),
+            ("send_data", |m, _, t, o| m.send_data(t, 0, 50, o)),
+            ("on_timer", |m, _, t, o| {
+                m.on_timer(t, ZigbeeTimer::Turnaround, o)
+            }),
+            ("on_tx_end", |m, _, t, o| {
+                m.on_tx_end(t, o);
+            }),
+            ("on_timer", |m, _, t, o| {
+                m.on_timer(t, ZigbeeTimer::Backoff, o)
+            }),
+            ("on_cca_result", |m, _, t, o| m.on_cca_result(t, false, o)),
+            ("on_timer", |m, _, t, o| {
+                m.on_timer(t, ZigbeeTimer::Turnaround, o)
+            }),
+            ("on_tx_end", |m, _, t, o| {
+                m.on_tx_end(t, o);
+            }),
+            ("on_ack_received", |m, _, t, o| m.on_ack_received(t, 0, o)),
+            ("on_timer", |m, _, t, o| m.on_timer(t, ZigbeeTimer::Ifs, o)),
+            ("send_data", |m, _, t, o| m.send_data(t, 1, 50, o)),
+            ("on_timer", |m, _, t, o| {
+                m.on_timer(t, ZigbeeTimer::Backoff, o)
+            }),
+            ("on_cca_result", |m, _, t, o| m.on_cca_result(t, true, o)),
+            ("flush", |m, _, t, o| m.flush(t, o)),
+            ("on_data_received", |_, r, t, o| r.on_data_received(t, 7, o)),
+            ("receiver on_timer", |_, r, t, o| {
+                r.on_timer(t, ZigbeeTimer::Turnaround, o)
+            }),
+        ];
+        let mut fresh_pair = (ZigbeeMac::with_defaults(14, 0), ZigbeeReceiver::new());
+        let mut seeded_pair = (ZigbeeMac::with_defaults(14, 0), ZigbeeReceiver::new());
+        let mut emitted = 0;
+        for (i, (name, step)) in steps.into_iter().enumerate() {
+            let t = SimTime::from_millis(i as u64);
+            let mut fresh = Vec::new();
+            step(&mut fresh_pair.0, &mut fresh_pair.1, t, &mut fresh);
+            let mut seeded = vec![SENTINEL];
+            step(&mut seeded_pair.0, &mut seeded_pair.1, t, &mut seeded);
+            assert_eq!(seeded[0], SENTINEL, "{name} touched the existing action");
+            assert_eq!(
+                &seeded[1..],
+                fresh.as_slice(),
+                "{name} did not append in order"
+            );
+            emitted += fresh.len();
+        }
+        assert_eq!(emitted, 18, "the walk must exercise real actions");
     }
 }

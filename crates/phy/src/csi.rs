@@ -151,15 +151,7 @@ impl CsiModel {
 
     /// Draws the amplitude deviation of one sample under `disturbance`.
     pub fn deviation<R: Rng + ?Sized>(&self, rng: &mut R, disturbance: Disturbance) -> f64 {
-        let registered = match disturbance {
-            Disturbance::None => false,
-            d => bernoulli(rng, self.high_fluctuation_prob(d)),
-        };
-        if registered {
-            normal(rng, self.high_mean, self.high_sigma).abs()
-        } else {
-            normal(rng, 0.0, self.baseline_sigma).abs()
-        }
+        self.sampler(disturbance).deviation(rng)
     }
 
     /// Draws a full sample (timestamp + deviation).
@@ -186,17 +178,15 @@ impl CsiModel {
 
     /// Precomputes a sampler for `disturbance`.
     ///
-    /// [`CsiModel::deviation`] re-evaluates the registration probability
-    /// (a logistic or an erf) on every call; when thousands of samples
-    /// share one disturbance, the sampler hoists that out of the loop.
-    /// Draws are bit-identical to the per-call API.
+    /// [`CsiModel::deviation`] builds one per call, re-evaluating the
+    /// registration probability (a logistic or an erf); when thousands of
+    /// samples share one disturbance, build the sampler once instead.
     pub fn sampler(&self, disturbance: Disturbance) -> DeviationSampler {
         DeviationSampler {
             baseline_sigma: self.baseline_sigma,
             high_mean: self.high_mean,
             high_sigma: self.high_sigma,
-            // None never registers and, matching `deviation`, must not
-            // consume a Bernoulli draw.
+            // None never registers and consumes no Bernoulli draw.
             registration_prob: match disturbance {
                 Disturbance::None => None,
                 d => Some(self.high_fluctuation_prob(d)),
@@ -216,8 +206,7 @@ pub struct DeviationSampler {
 }
 
 impl DeviationSampler {
-    /// Draws one amplitude deviation; identical to [`CsiModel::deviation`]
-    /// with the sampler's disturbance.
+    /// Draws one amplitude deviation under the sampler's disturbance.
     pub fn deviation<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let registered = match self.registration_prob {
             None => false,
@@ -227,31 +216,6 @@ impl DeviationSampler {
             normal(rng, self.high_mean, self.high_sigma).abs()
         } else {
             normal(rng, 0.0, self.baseline_sigma).abs()
-        }
-    }
-
-    /// Draws a full sample (timestamp + deviation).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R, time: SimTime) -> CsiSample {
-        CsiSample {
-            time,
-            deviation: self.deviation(rng),
-        }
-    }
-
-    /// Fills `out` with `n` consecutive samples starting at `start`,
-    /// reusing `out`'s allocation.
-    pub fn sample_batch_into<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        start: SimTime,
-        period: SimDuration,
-        n: usize,
-        out: &mut Vec<CsiSample>,
-    ) {
-        out.clear();
-        out.reserve(n);
-        for i in 0..n {
-            out.push(self.sample(rng, start + period * i as u64));
         }
     }
 }
@@ -395,26 +359,9 @@ mod tests {
             let sampler = m.sampler(d);
             let mut r1 = rng(3);
             let mut r2 = rng(3);
-            for i in 0..2_000u64 {
-                let t = SimTime::from_micros(i * 500);
-                assert_eq!(m.sample(&mut r1, t, d), sampler.sample(&mut r2, t));
+            for _ in 0..2_000 {
+                assert_eq!(m.deviation(&mut r1, d), sampler.deviation(&mut r2));
             }
-        }
-    }
-
-    #[test]
-    fn sample_batch_reuses_buffer_and_matches() {
-        let m = CsiModel::intel5300();
-        let sampler = m.sampler(Disturbance::Zigbee { sir_db: -12.0 });
-        let mut r1 = rng(4);
-        let mut r2 = rng(4);
-        let mut buf = Vec::new();
-        for _ in 0..3 {
-            sampler.sample_batch_into(&mut r1, SimTime::ZERO, m.sample_period(), 100, &mut buf);
-            let loose: Vec<CsiSample> = (0..100u64)
-                .map(|i| sampler.sample(&mut r2, SimTime::ZERO + m.sample_period() * i))
-                .collect();
-            assert_eq!(buf, loose);
         }
     }
 

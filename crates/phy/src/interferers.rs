@@ -26,7 +26,7 @@ pub const TRACE_SAMPLE_PERIOD: SimDuration = SimDuration::from_micros(25);
 pub const TRACE_DURATION: SimDuration = SimDuration::from_millis(5);
 
 /// A fast RSSI trace as recorded by a ZigBee radio.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RssiTrace {
     /// Time between consecutive samples.
     pub sample_period: SimDuration,
@@ -161,10 +161,7 @@ pub fn generate_trace<R: Rng + ?Sized>(
     config: &TraceConfig,
     duration: SimDuration,
 ) -> RssiTrace {
-    let mut trace = RssiTrace {
-        sample_period: TRACE_SAMPLE_PERIOD,
-        samples: Vec::new(),
-    };
+    let mut trace = RssiTrace::default();
     generate_trace_into(
         rng,
         config,

@@ -25,8 +25,7 @@
 //! a plain CSMA queue. The single Wi-Fi-side allocator must serve the
 //! union of all nodes' requests.
 
-use std::collections::{HashMap, VecDeque};
-use std::hash::BuildHasherDefault;
+use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 
@@ -45,12 +44,14 @@ use bicord_metrics::precision_recall::PrecisionRecall;
 use bicord_metrics::throughput::ThroughputTracker;
 use bicord_metrics::utilization::{Occupant, UtilizationTracker};
 use bicord_phy::csi::{CsiModel, Disturbance};
-use bicord_phy::interferers::{generate_trace, TraceConfig, TRACE_DURATION};
+use bicord_phy::interferers::{
+    generate_trace_into, RssiTrace, TraceConfig, TraceScratch, TRACE_DURATION,
+};
 use bicord_phy::noise::{NoiseBurst, WIFI_NOISE_FLOOR, ZIGBEE_NOISE_FLOOR};
 use bicord_phy::reception::PrrModel;
 use bicord_phy::spectrum::{Band, WifiChannel, ZigbeeChannel};
 use bicord_phy::units::{Dbm, MilliWatt};
-use bicord_sim::event::{EventHandle, SeqHasher};
+use bicord_sim::event::{EventHandle, FastMap};
 use bicord_sim::guard::{GuardViolation, NoopGuard, SimGuard};
 use bicord_sim::obs::{EventSink, NoopSink, TraceEvent};
 use bicord_sim::{stream_rng, Engine, FaultInjector, SeedDomain, SimDuration, SimTime};
@@ -217,7 +218,7 @@ struct ZbNode {
     data_power: Dbm,
     burst: BurstSpec,
     seq: u32,
-    arrivals: HashMap<u32, SimTime>,
+    arrivals: FastMap<u32, SimTime>,
     generated: u64,
     delivered: u64,
     delay: DelayTracker,
@@ -279,9 +280,8 @@ pub struct CoexistenceSim<S: EventSink = NoopSink, G: SimGuard = NoopGuard> {
     wifi_band: Band,
     zigbee_band: Band,
 
-    /// Hashed with the engine's one-multiply [`SeqHasher`]: the map sits
-    /// on the timer hot path and is never iterated, so no order leaks out.
-    timers: HashMap<TimerKey, EventHandle, BuildHasherDefault<SeqHasher>>,
+    /// Never iterated, so the seeded hash leaks no order.
+    timers: FastMap<TimerKey, EventHandle>,
     noise: Vec<NoiseBurst>,
     max_noise_duration: SimDuration,
     csi_model: CsiModel,
@@ -295,13 +295,19 @@ pub struct CoexistenceSim<S: EventSink = NoopSink, G: SimGuard = NoopGuard> {
 
     watches: Vec<RxWatch>,
 
-    /// Scratch buffers reused across hot-path calls so the steady state
-    /// allocates nothing per frame. Taken with `mem::take` while in use,
-    /// so re-entrant paths (e.g. `begin_tx` → carrier update → `begin_tx`)
-    /// simply see an empty fresh vector.
+    /// Reused across frames so the steady state allocates nothing.
     tx_scratch: Vec<Transmission>,
-    wifi_actions_scratch: Vec<WifiAction>,
-    zb_actions_scratch: Vec<ZigbeeAction>,
+    /// One action stack per action type (DESIGN.md ADR 0004). A `with_*`
+    /// call records the height, lets the handler append, applies the
+    /// appended actions in order and truncates back; re-entrant calls
+    /// push above and truncate back first, keeping depth-first order.
+    wifi_actions: Vec<WifiAction>,
+    zb_actions: Vec<ZigbeeAction>,
+    client_actions: Vec<ClientAction>,
+    coord_actions: Vec<CoordinatorAction>,
+    /// The RSSI trace a BiCord client asks for, refilled in place.
+    rssi_trace: RssiTrace,
+    trace_scratch: TraceScratch,
 
     util: UtilizationTracker,
     delay: DelayTracker,
@@ -467,7 +473,7 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                 data_power: spec.data_power,
                 burst: spec.burst,
                 seq: 0,
-                arrivals: HashMap::new(),
+                arrivals: FastMap::default(),
                 generated: 0,
                 delivered: 0,
                 delay: DelayTracker::new(),
@@ -584,7 +590,7 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
             zigbee_band: ZigbeeChannel::new(config.zigbee_channel)
                 .expect("validate() checked the ZigBee channel")
                 .band(),
-            timers: HashMap::default(),
+            timers: FastMap::default(),
             noise,
             max_noise_duration,
             csi_model,
@@ -595,8 +601,12 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
             fault,
             watches: Vec::new(),
             tx_scratch: Vec::new(),
-            wifi_actions_scratch: Vec::new(),
-            zb_actions_scratch: Vec::new(),
+            wifi_actions: Vec::new(),
+            zb_actions: Vec::new(),
+            client_actions: Vec::new(),
+            coord_actions: Vec::new(),
+            rssi_trace: RssiTrace::default(),
+            trace_scratch: TraceScratch::default(),
             util: UtilizationTracker::new(SimTime::ZERO),
             delay: DelayTracker::new(),
             throughput: ThroughputTracker::new(SimTime::ZERO),
@@ -645,8 +655,9 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
     pub fn try_run(mut self) -> Result<RunResults, GuardViolation> {
         // Kick the Wi-Fi stations.
         for station in 0..self.stations.len() {
-            let mut actions = self.stations[station].mac.on_channel_idle(SimTime::ZERO);
-            self.drain_wifi_actions(SimTime::ZERO, station, &mut actions);
+            self.with_wifi_mac(SimTime::ZERO, station, |mac, out| {
+                mac.on_channel_idle(SimTime::ZERO, out)
+            });
         }
 
         let end = self.end_at;
@@ -709,42 +720,29 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
     fn on_timer(&mut self, now: SimTime, key: TimerKey) {
         match key {
             TimerKey::Wifi(station, t) => {
-                let station = station as usize;
-                let mut actions = self.stations[station].mac.on_timer(now, t);
-                self.drain_wifi_actions(now, station, &mut actions);
+                self.with_wifi_mac(now, station as usize, |mac, out| mac.on_timer(now, t, out));
             }
             TimerKey::Zb(node, ZigbeeTimer::Cca) => {
                 // CCA verdict: total in-band energy at this ZigBee sender.
                 let node = node as usize;
                 let busy = self.zigbee_channel_busy(now, node);
-                let mut actions = std::mem::take(&mut self.zb_actions_scratch);
-                actions.clear();
-                self.nodes[node]
-                    .mac
-                    .on_cca_result_into(now, busy, &mut actions);
-                self.drain_zb_actions(now, node, &mut actions);
-                self.zb_actions_scratch = actions;
+                self.with_zb_mac(now, node, |mac, out| mac.on_cca_result(now, busy, out));
             }
             TimerKey::Zb(node, t) => {
-                let node = node as usize;
-                let mut actions = self.nodes[node].mac.on_timer(now, t);
-                self.drain_zb_actions(now, node, &mut actions);
+                self.with_zb_mac(now, node as usize, |mac, out| mac.on_timer(now, t, out));
             }
             TimerKey::ZbRx(node, t) => {
-                let node = node as usize;
-                let actions = self.nodes[node].rx.on_timer(now, t);
-                self.apply_zb_rx_actions(now, node, actions);
+                self.with_zb_rx(now, node as usize, |rx, out| rx.on_timer(now, t, out));
             }
             TimerKey::Coord(t) => {
-                if let WifiDriver::Bicord(coordinator) = &mut self.wifi_driver {
-                    let actions = coordinator.on_timer_obs(now, t, &mut self.sink);
-                    self.apply_coord_actions(now, actions);
-                }
+                self.with_coordinator(now, |c, sink, out| c.on_timer(now, t, sink, out));
             }
             TimerKey::Client(node, t) => {
                 let node = node as usize;
                 match self.nodes[node].driver {
-                    ZbDriver::Bicord(_) => self.with_client(now, node, |c| c.on_timer(now, t)),
+                    ZbDriver::Bicord(_) => {
+                        self.with_client(now, node, |c, out| c.on_timer(now, t, out))
+                    }
                     ZbDriver::Ecc(_) if t == ClientTimer::NextPacket => {
                         self.ecc_try_send(now, node)
                     }
@@ -817,7 +815,7 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
             // id: the slab iterates in arbitrary order, and both the lazy
             // fading draws and the f64 sum below must evaluate in
             // ascending-TxId order to stay bit-identical run to run.
-            let mut others = std::mem::take(&mut self.tx_scratch);
+            let others = &mut self.tx_scratch;
             others.clear();
             others.extend(
                 self.medium
@@ -829,7 +827,7 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
             let mut interference = MilliWatt::ZERO;
             let mut max_zigbee: Option<MilliWatt> = None;
             let mut max_zigbee_src: Option<(DeviceId, bool)> = None;
-            for t in &others {
+            for t in &self.tx_scratch {
                 let p = self
                     .medium
                     .received_power_in_band(t.id, observer, &listening);
@@ -845,7 +843,6 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                     }
                 }
             }
-            self.tx_scratch = others;
             self.watches.push(RxWatch {
                 tx,
                 observer,
@@ -861,7 +858,7 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
             // Every ZigBee node hears the Wi-Fi device resume: any white
             // space it believed in is over.
             for node in 0..self.nodes.len() {
-                self.with_client(now, node, |c| c.on_channel_busy(now));
+                self.with_client(now, node, |c, out| c.on_channel_busy(now, out));
             }
         }
         tx
@@ -949,17 +946,18 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                             });
                         } else {
                             for station in (0..self.stations.len()).filter(|&s| s != sender) {
-                                let mut actions =
-                                    self.stations[station].mac.set_nav(now, now + nav);
-                                self.drain_wifi_actions(now, station, &mut actions);
+                                self.with_wifi_mac(now, station, |mac, out| {
+                                    mac.set_nav(now, now + nav, out)
+                                });
                             }
                         }
                         self.on_white_space_begin(now, nav);
                     }
                 }
                 self.medium.end_transmission(tx_id);
-                let (_, mut actions) = self.stations[sender].mac.on_tx_end(now);
-                self.drain_wifi_actions(now, sender, &mut actions);
+                self.with_wifi_mac(now, sender, |mac, out| {
+                    mac.on_tx_end(now, out);
+                });
             }
             Payload::Zigbee(kind) => {
                 let (node, is_sender) =
@@ -976,8 +974,9 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                                 ZIGBEE_NOISE_FLOOR,
                             );
                             if ok {
-                                let actions = self.nodes[node].rx.on_data_received(now, seq);
-                                self.apply_zb_rx_actions(now, node, actions);
+                                self.with_zb_rx(now, node, |rx, out| {
+                                    rx.on_data_received(now, seq, out)
+                                });
                             }
                         }
                         ZigbeeFrameKind::Control { .. } => {
@@ -988,8 +987,9 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                         }
                     }
                     self.medium.end_transmission(tx_id);
-                    let (_, mut actions) = self.nodes[node].mac.on_tx_end(now);
-                    self.drain_zb_actions(now, node, &mut actions);
+                    self.with_zb_mac(now, node, |mac, out| {
+                        mac.on_tx_end(now, out);
+                    });
                 } else {
                     // A ZigBee receiver's ACK.
                     self.note_zigbee_activity(tx.start, tx.end);
@@ -1005,10 +1005,8 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                         ZIGBEE_NOISE_FLOOR,
                     );
                     self.medium.end_transmission(tx_id);
-                    self.nodes[node].rx.on_tx_end(now);
                     if ok {
-                        let mut actions = self.nodes[node].mac.on_ack_received(now, seq);
-                        self.drain_zb_actions(now, node, &mut actions);
+                        self.with_zb_mac(now, node, |mac, out| mac.on_ack_received(now, seq, out));
                     }
                 }
             }
@@ -1163,12 +1161,11 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
             }
         }
 
-        match &mut self.wifi_driver {
-            WifiDriver::Bicord(coordinator) => {
-                let actions = coordinator.on_csi_sample_obs(sample, &mut self.sink);
-                self.apply_coord_actions(now, actions);
+        match self.wifi_driver {
+            WifiDriver::Bicord(_) => {
+                self.with_coordinator(now, |c, sink, out| c.on_csi_sample(sample, sink, out));
             }
-            WifiDriver::Trial(trial) => {
+            WifiDriver::Trial(ref mut trial) => {
                 if let Some(detection) = trial.detector.push_obs(sample, &mut self.sink) {
                     let zigbee_caused = self
                         .high_truth
@@ -1199,22 +1196,18 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
             let device = self.stations[station].device;
             let sensed = self.medium.sensed_power(device, &self.wifi_band, now, None);
             let busy = sensed.to_dbm() >= self.config.wifi.ed_threshold;
-            let Station {
-                mac, sensed_busy, ..
-            } = &mut self.stations[station];
+            let sensed_busy = &mut self.stations[station].sensed_busy;
             if busy == *sensed_busy {
                 continue;
             }
             *sensed_busy = busy;
-            let mut actions = std::mem::take(&mut self.wifi_actions_scratch);
-            actions.clear();
-            if busy {
-                mac.on_channel_busy_into(now, &mut actions);
-            } else {
-                mac.on_channel_idle_into(now, &mut actions);
-            }
-            self.drain_wifi_actions(now, station, &mut actions);
-            self.wifi_actions_scratch = actions;
+            self.with_wifi_mac(now, station, |mac, out| {
+                if busy {
+                    mac.on_channel_busy(now, out)
+                } else {
+                    mac.on_channel_idle(now, out)
+                }
+            });
         }
     }
 
@@ -1281,7 +1274,7 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                 // Only client-driven bursts report BurstComplete, so only
                 // those arm the liveness watch.
                 self.guard.on_burst_start(now, node as u32);
-                self.with_client(now, node, |c| c.on_burst(now, n, bytes));
+                self.with_client(now, node, |c, out| c.on_burst(now, n, bytes, out));
             }
             ZbDriver::Ecc(ecc) => ecc.on_burst(now, n, bytes),
             ZbDriver::Unprotected(driver) => {
@@ -1308,15 +1301,12 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
             })
             .unwrap_or(WifiPriority::Low);
         self.wifi_enqueue_times.push_back(now);
-        let mut actions = self.stations[0].mac.enqueue(
-            now,
-            WifiFrameSpec {
-                mpdu_bytes: self.config.wifi.mpdu_bytes,
-                priority,
-                enqueued_at: now,
-            },
-        );
-        self.drain_wifi_actions(now, 0, &mut actions);
+        let spec = WifiFrameSpec {
+            mpdu_bytes: self.config.wifi.mpdu_bytes,
+            priority,
+            enqueued_at: now,
+        };
+        self.with_wifi_mac(now, 0, |mac, out| mac.enqueue(now, spec, out));
         if now + interval < self.end_at {
             self.engine.schedule_at(now + interval, Event::WifiEnqueue);
         }
@@ -1342,8 +1332,7 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                 t_us: now.as_micros(),
                 ws_us: ws.as_micros(),
             });
-            let mut actions = self.stations[0].mac.reserve_channel(now, ws);
-            self.drain_wifi_actions(now, 0, &mut actions);
+            self.with_wifi_mac(now, 0, |mac, out| mac.reserve_channel(now, ws, out));
             self.ws_history.push(ws);
         }
         if now + period < self.end_at {
@@ -1359,11 +1348,9 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
         trial.detected_this_trial = false;
         trial.index += 1;
         trial.detector.reset_window();
+        let bytes = self.config.client.policy.control_bytes;
         for _ in 0..trial.control_packets {
-            let mut actions = self.nodes[0]
-                .mac
-                .send_control(now, self.config.client.policy.control_bytes);
-            self.drain_zb_actions(now, 0, &mut actions);
+            self.with_zb_mac(now, 0, |mac, out| mac.send_control(now, bytes, out));
         }
     }
 
@@ -1393,7 +1380,7 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                 // Each BiCord node physically senses the quiet channel.
                 ZbDriver::Bicord(_) => {
                     if !self.zigbee_channel_busy(now, node) {
-                        self.with_client(now, node, |c| c.on_channel_clear(now));
+                        self.with_client(now, node, |c, out| c.on_channel_clear(now, out));
                     }
                 }
                 ZbDriver::Ecc(_) => self.ecc_try_send(now, node),
@@ -1513,8 +1500,7 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
         };
         if let EccClientAction::SendData { seq, bytes } = ecc.next_action(now) {
             ecc.mark_in_flight(seq);
-            let mut actions = self.nodes[node].mac.send_data(now, seq, bytes);
-            self.drain_zb_actions(now, node, &mut actions);
+            self.with_zb_mac(now, node, |mac, out| mac.send_data(now, seq, bytes, out));
         }
     }
 
@@ -1529,8 +1515,7 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
             return;
         };
         driver.in_flight = true;
-        let mut actions = self.nodes[node].mac.send_data(now, seq, bytes);
-        self.drain_zb_actions(now, node, &mut actions);
+        self.with_zb_mac(now, node, |mac, out| mac.send_data(now, seq, bytes, out));
     }
 
     // ------------------------------------------------------------------
@@ -1551,13 +1536,19 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
         }
     }
 
-    /// Applies and removes every action of `station`'s MAC in `actions`,
-    /// leaving the (possibly grown) buffer behind for reuse. The hot
-    /// carrier-sense path feeds this from a scratch buffer so the steady
-    /// state never allocates.
-    fn drain_wifi_actions(&mut self, now: SimTime, station: usize, actions: &mut Vec<WifiAction>) {
-        for action in actions.drain(..) {
-            match action {
+    /// Runs one of `station`'s MAC handlers on the Wi-Fi action stack and
+    /// applies what it appended.
+    fn with_wifi_mac(
+        &mut self,
+        now: SimTime,
+        station: usize,
+        f: impl FnOnce(&mut WifiMac, &mut Vec<WifiAction>),
+    ) {
+        let start = self.wifi_actions.len();
+        f(&mut self.stations[station].mac, &mut self.wifi_actions);
+        let end = self.wifi_actions.len();
+        for i in start..end {
+            match self.wifi_actions[i] {
                 WifiAction::StartTx { kind, airtime } => {
                     // Only E's paced frames carry enqueue times.
                     if let (0, WifiFrameKind::Data { priority, .. }) = (station, kind) {
@@ -1590,11 +1581,22 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                 }
             }
         }
+        self.wifi_actions.truncate(start);
     }
 
-    fn drain_zb_actions(&mut self, now: SimTime, node: usize, actions: &mut Vec<ZigbeeAction>) {
-        for action in actions.drain(..) {
-            match action {
+    /// Runs one of `node`'s MAC handlers on the ZigBee action stack and
+    /// applies what it appended.
+    fn with_zb_mac(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        f: impl FnOnce(&mut ZigbeeMac, &mut Vec<ZigbeeAction>),
+    ) {
+        let start = self.zb_actions.len();
+        f(&mut self.nodes[node].mac, &mut self.zb_actions);
+        let end = self.zb_actions.len();
+        for i in start..end {
+            match self.zb_actions[i] {
                 ZigbeeAction::StartTx { kind, airtime } => {
                     let state = &self.nodes[node];
                     let power = match kind {
@@ -1622,11 +1624,22 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                 }
             }
         }
+        self.zb_actions.truncate(start);
     }
 
-    fn apply_zb_rx_actions(&mut self, now: SimTime, node: usize, actions: Vec<ZigbeeAction>) {
-        for action in actions {
-            match action {
+    /// Runs one of `node`'s receiver handlers on the ZigBee action stack
+    /// and applies what it appended.
+    fn with_zb_rx(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        f: impl FnOnce(&mut ZigbeeReceiver, &mut Vec<ZigbeeAction>),
+    ) {
+        let start = self.zb_actions.len();
+        f(&mut self.nodes[node].rx, &mut self.zb_actions);
+        let end = self.zb_actions.len();
+        for i in start..end {
+            match self.zb_actions[i] {
                 ZigbeeAction::StartTx { kind, airtime } => {
                     let source = self.nodes[node].rx_dev;
                     let power = self.nodes[node].data_power;
@@ -1648,6 +1661,7 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                 ZigbeeAction::Notify(_) => {}
             }
         }
+        self.zb_actions.truncate(start);
     }
 
     fn record_delivery(&mut self, now: SimTime, node: usize, seq: u32) {
@@ -1673,15 +1687,16 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
         notification: bicord_mac::zigbee::ZigbeeNotification,
     ) {
         use bicord_mac::zigbee::ZigbeeNotification as N;
-        let next_packet_after = match &mut self.nodes[node].driver {
-            ZbDriver::Bicord(client) => {
-                let actions = client.on_mac_notification(now, notification);
-                self.apply_client_actions(now, node, actions);
+        let next_packet_after = match self.nodes[node].driver {
+            ZbDriver::Bicord(_) => {
+                self.with_client(now, node, |c, out| {
+                    c.on_mac_notification(now, notification, out)
+                });
                 return;
             }
             ZbDriver::Trial => return,
             _ if notification == N::ControlSent => return,
-            ZbDriver::Ecc(ecc) => {
+            ZbDriver::Ecc(ref mut ecc) => {
                 match notification {
                     N::Delivered { seq, .. } => {
                         let _ = ecc.on_delivered(now, seq);
@@ -1694,7 +1709,7 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                 }
                 ecc.config().packet_interval
             }
-            ZbDriver::Unprotected(driver) => {
+            ZbDriver::Unprotected(ref mut driver) => {
                 driver.in_flight = false;
                 driver.pending.pop_front();
                 if let N::Failed { .. } = notification {
@@ -1713,34 +1728,37 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
         );
     }
 
-    /// Feeds `node`'s BiCord client through `f` and applies the resulting
-    /// actions. Nodes without a client ignore the event.
+    /// Feeds `node`'s BiCord client through `f` on the client action stack
+    /// and applies what it appended. Nodes without a client ignore the
+    /// event.
     fn with_client(
         &mut self,
         now: SimTime,
         node: usize,
-        f: impl FnOnce(&mut BicordClient) -> Vec<ClientAction>,
+        f: impl FnOnce(&mut BicordClient, &mut Vec<ClientAction>),
     ) {
         if let ZbDriver::Bicord(client) = &mut self.nodes[node].driver {
-            let actions = f(client);
-            self.apply_client_actions(now, node, actions);
+            let start = self.client_actions.len();
+            f(client, &mut self.client_actions);
+            self.apply_client_actions(now, node, start);
         }
     }
 
-    fn apply_client_actions(&mut self, now: SimTime, node: usize, actions: Vec<ClientAction>) {
-        for action in actions {
-            match action {
+    /// Applies the actions `node`'s client appended to the client action
+    /// stack above `start`, then truncates back to `start`.
+    fn apply_client_actions(&mut self, now: SimTime, node: usize, start: usize) {
+        let end = self.client_actions.len();
+        for i in start..end {
+            match self.client_actions[i] {
                 ClientAction::MacSendData { seq, bytes } => {
-                    let mut zb_actions = self.nodes[node].mac.send_data(now, seq, bytes);
-                    self.drain_zb_actions(now, node, &mut zb_actions);
+                    self.with_zb_mac(now, node, |mac, out| mac.send_data(now, seq, bytes, out));
                 }
                 ClientAction::MacSendControl { bytes } => {
                     self.sink.emit(&TraceEvent::ChannelRequest {
                         t_us: now.as_micros(),
                         node: node as u32,
                     });
-                    let mut zb_actions = self.nodes[node].mac.send_control(now, bytes);
-                    self.drain_zb_actions(now, node, &mut zb_actions);
+                    self.with_zb_mac(now, node, |mac, out| mac.send_control(now, bytes, out));
                 }
                 ClientAction::SetTxPower(power) => {
                     self.nodes[node].signal_power = power;
@@ -1784,8 +1802,20 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                             TraceConfig::bluetooth(-95.0)
                         }
                     };
-                    let trace = generate_trace(&mut self.trace_rng, &trace_config, TRACE_DURATION);
-                    self.with_client(now, node, |c| c.on_trace(now, &trace));
+                    generate_trace_into(
+                        &mut self.trace_rng,
+                        &trace_config,
+                        TRACE_DURATION,
+                        &mut self.trace_scratch,
+                        &mut self.rssi_trace,
+                    );
+                    // `with_client` inlined: its closure could not borrow
+                    // the sim's trace while the sim is borrowed mutably.
+                    if let ZbDriver::Bicord(client) = &mut self.nodes[node].driver {
+                        let start = self.client_actions.len();
+                        client.on_trace(now, &self.rssi_trace, &mut self.client_actions);
+                        self.apply_client_actions(now, node, start);
+                    }
                 }
                 ClientAction::SetTimer { timer, at } => {
                     self.set_timer(TimerKey::Client(node as u8, timer), at)
@@ -1821,15 +1851,27 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                 }
             }
         }
+        self.client_actions.truncate(start);
     }
 
-    fn apply_coord_actions(&mut self, now: SimTime, actions: Vec<CoordinatorAction>) {
-        for action in actions {
-            match action {
+    /// Runs a coordinator handler on the coordinator action stack and
+    /// applies what it appended. Without a coordinator this is a no-op.
+    fn with_coordinator(
+        &mut self,
+        now: SimTime,
+        f: impl FnOnce(&mut BicordCoordinator, &mut S, &mut Vec<CoordinatorAction>),
+    ) {
+        let WifiDriver::Bicord(coordinator) = &mut self.wifi_driver else {
+            return;
+        };
+        let start = self.coord_actions.len();
+        f(coordinator, &mut self.sink, &mut self.coord_actions);
+        let end = self.coord_actions.len();
+        for i in start..end {
+            match self.coord_actions[i] {
                 CoordinatorAction::Reserve(ws) => {
                     self.ws_history.push(ws);
-                    let mut wifi_actions = self.stations[0].mac.reserve_channel(now, ws);
-                    self.drain_wifi_actions(now, 0, &mut wifi_actions);
+                    self.with_wifi_mac(now, 0, |mac, out| mac.reserve_channel(now, ws, out));
                 }
                 CoordinatorAction::SetTimer { timer, at } => {
                     self.set_timer(TimerKey::Coord(timer), at)
@@ -1837,6 +1879,7 @@ impl<S: EventSink, G: SimGuard> CoexistenceSim<S, G> {
                 CoordinatorAction::CancelTimer(timer) => self.cancel_timer(TimerKey::Coord(timer)),
             }
         }
+        self.coord_actions.truncate(start);
     }
 
     // ------------------------------------------------------------------

@@ -14,7 +14,7 @@
 //! pre-size both structures.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::time::SimTime;
@@ -55,6 +55,12 @@ impl Hasher for SeqHasher {
         self.0 = z ^ (z >> 31);
     }
 }
+
+/// A `HashMap` hashed with [`SeqHasher`]: the hash is the same in every
+/// process (std's `RandomState` keys differ per instance), so a map that is
+/// never iterated leaks no order and allocates identically run to run. Keys
+/// are small ids, never adversarial.
+pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<SeqHasher>>;
 
 type SeqSet = HashSet<u64, BuildHasherDefault<SeqHasher>>;
 

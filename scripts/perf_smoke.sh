@@ -6,10 +6,13 @@
 #
 # Unless PERF_SMOKE_SKIP_BENCH=1 is set, it then runs the medium-query
 # microbenches in quick mode (short BICORD_BENCH_SECS budget), the
-# `multi_node --quick` end-to-end bench, and the `dense_city_scaling
-# --quick` spatial-culling sweep, appending each as a machine-readable
-# record to BENCH_results.json via PerfRecorder (the records
-# scripts/bench_compare.sh gates against the committed baseline).
+# `multi_node --quick` end-to-end bench, and the `dense_city_scaling`
+# spatial-culling sweep both with `--quick` and at full scale (about a
+# second), appending each as a machine-readable record to
+# BENCH_results.json via PerfRecorder. Together with `robustness_sweep
+# --quick` these are every record scripts/bench_compare.sh gates against
+# the committed baseline, and a baseline record missing from the results
+# fails that gate.
 #
 # Usage: scripts/perf_smoke.sh [path-to-fig10_replicated-binary]
 # With no argument, builds and runs via `cargo run --release`.
@@ -72,5 +75,8 @@ cargo run -q --offline --release -p bicord-bench --bin multi_node -- --quick \
 echo "perf_smoke: dense_city_scaling --quick -> BENCH_results.json..."
 cargo run -q --offline --release -p bicord-bench --bin dense_city_scaling -- --quick \
     >/dev/null
+
+echo "perf_smoke: dense_city_scaling (full) -> BENCH_results.json..."
+cargo run -q --offline --release -p bicord-bench --bin dense_city_scaling >/dev/null
 
 echo "perf_smoke: bench records updated"
