@@ -57,14 +57,10 @@ use bicord_sim::{stream_rng, SeedDomain, SimTime};
 
 use crate::frames::{DeviceId, Payload};
 
-/// A `(tx band, listening band)` pair keyed by the exact bit patterns of
-/// the four band edges — bit-identical inputs are the only ones allowed
-/// to share a memoized overlap fraction.
-type BandPairKey = [u64; 4];
-
 /// Distinct `(tx band, listening band)` pairs per scenario are a small
-/// constant (Wi-Fi/ZigBee/Bluetooth cross products); cap the memo so a
-/// pathological caller cannot grow it without bound.
+/// constant (Wi-Fi/ZigBee/Bluetooth cross products). The first this many
+/// pairs looked up count as memoized in [`MediumCacheStats`]; a pair
+/// first seen after that counts a miss on every lookup.
 const BAND_MEMO_CAP: usize = 32;
 
 /// Identifies one transmission placed on the medium.
@@ -212,17 +208,18 @@ pub struct Medium {
     positions: Vec<Point>,
     /// Active transmissions, in slab order (**not** id order: removal is
     /// `swap_remove`). Queries never iterate this directly — they sort
-    /// gathered candidate ids, so evaluation order stays deterministic
+    /// gathered candidates by id, so evaluation order stays deterministic
     /// regardless of slab layout.
     active: Vec<Transmission>,
-    /// Transmission id → slab index. O(1) candidate→slab resolution with
-    /// a bounded working set per lookup, where a binary search over a
-    /// sorted id array costs `log n` scattered probes per candidate at
-    /// 10k-device scale.
+    /// Transmission id → slab index, for the calls that name a
+    /// transmission by id (`end_transmission`, `transmission`,
+    /// `received_power*`, the signal of `interference_against`). Query
+    /// candidates carry their slab index and never look it up.
     slab: FastMap<TxId, u32>,
     /// Hot per-transmission fields, parallel to `active`: the cull loop
-    /// reads these (time window, source slot, hearing radius, grid cell)
-    /// without pulling the full `Transmission` into cache.
+    /// reads these (time window, source slot, interned band, hearing
+    /// radius, grid cell) without pulling the full `Transmission` into
+    /// cache.
     hot: Vec<TxHot>,
     /// Per-transmission fading draws, parallel to `active`: the
     /// `(observer, dB)` realisations drawn so far for the transmission at
@@ -232,16 +229,19 @@ pub struct Medium {
     /// Cleared fading lists of ended transmissions, reused by
     /// `begin_transmission` so begin/end churn does not allocate.
     fading_free: Vec<Vec<(DeviceId, f64)>>,
-    /// Uniform grid over device positions: cell key → member
-    /// transmissions (those whose hearing radius fits one cell).
-    grid: FastMap<u64, Vec<TxId>>,
-    /// Transmissions louder than one grid cell — always visited.
-    loud: Vec<TxId>,
+    /// Uniform grid over device positions: per cell, the member
+    /// transmissions (those whose hearing radius fits one cell) with
+    /// their slab indices. `end_transmission` repoints the member of the
+    /// transmission its `swap_remove` moves.
+    grid: Grid,
+    /// Transmissions louder than one grid cell, with their slab indices —
+    /// always visited.
+    loud: Vec<Member>,
     /// Grid cell edge length, metres (infinite when the configured radii
     /// are unbounded, which degenerates to a single cell = no culling).
     cell_size_m: f64,
-    /// Reusable query scratch for gathered candidate ids.
-    candidates: Vec<TxId>,
+    /// Reusable query scratch: gathered candidates, sorted by id.
+    candidates: Vec<Member>,
     grid_stats: MediumGridStats,
     next_tx: u64,
     /// Static shadowing per unordered device pair, dB. The source of
@@ -251,9 +251,9 @@ pub struct Medium {
     /// `(source, observer)` pair at the devices' *current* positions.
     /// Invalidated whenever either endpoint moves.
     link_cache: FastMap<(DeviceId, DeviceId), (f64, f64)>,
-    /// Memoized spectral overlap fractions per `(tx band, listening
-    /// band)` pair.
-    band_overlap: Vec<(BandPairKey, f64)>,
+    /// Interned bands (the index is stored in `TxHot`) and the overlap
+    /// fraction of each `(tx band, listening band)` pair looked up.
+    bands: BandTable,
     stats: MediumCacheStats,
     shadowing_rng: StdRng,
     fading_rng: StdRng,
@@ -298,7 +298,7 @@ pub struct MediumGridStats {
 /// Hot per-transmission fields, parallel to `Medium::active`.
 ///
 /// Queries (`sensed_power`, `interference_against`) read *only* this
-/// array plus `ids` per candidate — duplicating `power`/`band` here
+/// array per candidate — duplicating `power` and the interned band here
 /// keeps the fat `Transmission` slab (with its payload) out of the
 /// query working set, which is what keeps per-query cost flat at 10k+
 /// devices.
@@ -308,7 +308,8 @@ struct TxHot {
     end: SimTime,
     source: DeviceId,
     power: Dbm,
-    band: Band,
+    /// Interned band (index into [`BandTable`]).
+    band: u32,
     /// Slot of `source` in the position SoA.
     source_slot: u32,
     /// Squared hearing radius, m²; links farther than this couple zero.
@@ -316,9 +317,84 @@ struct TxHot {
     /// Grid cell the transmission is registered in (meaningless when
     /// `loud`). Stored so moves and removal rebucket the *registered*
     /// cell even if the source has since crossed a boundary.
-    cell: u64,
+    cell: Cell,
     /// On the always-visited overflow list instead of the grid.
     loud: bool,
+}
+
+/// A grid or `loud` entry: a transmission and its current slab index, so
+/// a query reaches the slab without a `TxId` lookup.
+type Member = (TxId, u32);
+
+/// One memoized overlap fraction of [`BandTable`].
+#[derive(Debug, Clone, Copy)]
+struct BandPair {
+    fraction: f64,
+    /// Among the first [`BAND_MEMO_CAP`] pairs looked up: a lookup counts
+    /// as a hit. Otherwise every lookup counts as a miss (the fraction is
+    /// still kept: recomputing it would give the same bits).
+    memoized: bool,
+}
+
+/// Interned bands and the overlap fractions between them.
+///
+/// Each distinct band gets a dense index the first time it is seen — a
+/// transmission's band in `begin_transmission`, a listening band once per
+/// query — keyed by the exact bit patterns of its edges (bit-identical
+/// inputs are the only ones allowed to share a fraction). A candidate's
+/// fraction is then one indexed read of `pairs[listening][tx]`, filled on
+/// first use. Any number of bands works; a row only grows to the largest
+/// transmit index looked up against its listening band.
+#[derive(Debug, Default)]
+struct BandTable {
+    /// Edge bit patterns → index. A tuple, not an array: an array hashes
+    /// a length prefix, which costs `SeqHasher` eight more rounds.
+    ids: FastMap<(u64, u64), u32>,
+    bands: Vec<Band>,
+    /// `pairs[listening][tx]`: the fraction of band `tx` that falls
+    /// inside band `listening`, once looked up.
+    pairs: Vec<Vec<Option<BandPair>>>,
+    /// Pairs marked `memoized` so far (at most [`BAND_MEMO_CAP`]).
+    memoized: usize,
+}
+
+impl BandTable {
+    /// The dense index of `band`, interning it on first sight.
+    fn intern(&mut self, band: &Band) -> u32 {
+        let key = (band.low_mhz.to_bits(), band.high_mhz.to_bits());
+        if let Some(&ix) = self.ids.get(&key) {
+            return ix;
+        }
+        let ix = u32::try_from(self.bands.len()).expect("band indices exhausted");
+        self.ids.insert(key, ix);
+        self.bands.push(*band);
+        self.pairs.push(Vec::new());
+        ix
+    }
+
+    /// The overlap fraction of interned band `tx` into interned band
+    /// `listening`, counted in `stats` exactly as a capped memo would.
+    fn fraction(&mut self, tx: u32, listening: u32, stats: &mut MediumCacheStats) -> f64 {
+        let (tx, listening) = (tx as usize, listening as usize);
+        let row = &mut self.pairs[listening];
+        if row.len() <= tx {
+            row.resize(tx + 1, None);
+        }
+        if let Some(pair) = row[tx] {
+            if pair.memoized {
+                stats.band_hits += 1;
+            } else {
+                stats.band_misses += 1;
+            }
+            return pair.fraction;
+        }
+        stats.band_misses += 1;
+        let fraction = self.bands[tx].overlap_fraction(&self.bands[listening]);
+        let memoized = self.memoized < BAND_MEMO_CAP;
+        self.memoized += usize::from(memoized);
+        row[tx] = Some(BandPair { fraction, memoized });
+        fraction
+    }
 }
 
 /// Grid coordinate of `v` under `cell_size` (saturating one step inside
@@ -329,9 +405,106 @@ fn cell_coord(v: f64, cell_size: f64) -> i32 {
     q.clamp(f64::from(i32::MIN + 1), f64::from(i32::MAX - 1)) as i32
 }
 
-/// Packs two grid coordinates into one hashable key.
-fn cell_key(cx: i32, cy: i32) -> u64 {
-    (u64::from(cx as u32) << 32) | u64::from(cy as u32)
+/// The grid cell of `p` under `cell_size`.
+fn cell_of(p: Point, cell_size: f64) -> Cell {
+    (cell_coord(p.x, cell_size), cell_coord(p.y, cell_size))
+}
+
+/// Position in `members` of the entry pointing at slab index `idx`.
+fn member_at(members: &[Member], idx: usize) -> usize {
+    members
+        .iter()
+        .position(|&(_, i)| i as usize == idx)
+        .expect("grid member desync")
+}
+
+/// Grid coordinates `(x, y)` of one cell.
+type Cell = (i32, i32);
+
+/// The spatial grid: a dense row-major block of `width × height` member
+/// lists whose first cell has coordinates `(x0, y0)`. Cells outside the
+/// block are empty. The block grows, by at least doubling the axis that
+/// must grow, only when a transmission registers outside it — so its
+/// area follows where devices transmit, not how many are registered.
+#[derive(Debug, Default)]
+struct Grid {
+    x0: i64,
+    y0: i64,
+    width: i64,
+    height: i64,
+    cells: Vec<Vec<Member>>,
+}
+
+impl Grid {
+    /// Index of `cell` in `cells`, if inside the block.
+    fn index(&self, (cx, cy): Cell) -> Option<usize> {
+        let x = i64::from(cx) - self.x0;
+        let y = i64::from(cy) - self.y0;
+        if x < 0 || y < 0 || x >= self.width || y >= self.height {
+            return None;
+        }
+        Some((y * self.width + x) as usize)
+    }
+
+    /// The members of `cell` (empty outside the block).
+    fn cell(&self, cell: Cell) -> &[Member] {
+        self.index(cell).map_or(&[], |i| &self.cells[i])
+    }
+
+    /// The members of a cell some transmission is registered in.
+    fn cell_mut(&mut self, cell: Cell) -> &mut Vec<Member> {
+        let i = self.index(cell).expect("grid cell desync");
+        &mut self.cells[i]
+    }
+
+    /// Registers `member` in `cell`, growing the block to cover it.
+    fn register(&mut self, cell: Cell, member: Member) {
+        if self.index(cell).is_none() {
+            self.grow_to(cell);
+        }
+        self.cell_mut(cell).push(member);
+    }
+
+    /// Re-lays the block out to cover `(cx, cy)` as well.
+    fn grow_to(&mut self, (cx, cy): Cell) {
+        let (x0, width) = grow_axis(self.x0, self.width, i64::from(cx));
+        let (y0, height) = grow_axis(self.y0, self.height, i64::from(cy));
+        let area = width.checked_mul(height).expect("grid area overflows");
+        let mut cells = Vec::new();
+        cells.resize_with(
+            usize::try_from(area).expect("grid area overflows"),
+            Vec::new,
+        );
+        for y in 0..self.height {
+            for x in 0..self.width {
+                let from = (y * self.width + x) as usize;
+                let to = ((y + self.y0 - y0) * width + (x + self.x0 - x0)) as usize;
+                cells[to] = std::mem::take(&mut self.cells[from]);
+            }
+        }
+        *self = Grid {
+            x0,
+            y0,
+            width,
+            height,
+            cells,
+        };
+    }
+}
+
+/// One axis of [`Grid::grow_to`]: the `(origin, length)` covering both
+/// `[origin, origin + len)` and `c`, at least doubling `len` if it grows.
+fn grow_axis(origin: i64, len: i64, c: i64) -> (i64, i64) {
+    if len == 0 {
+        (c, 1)
+    } else if c < origin {
+        let grown = (origin + len - c).max(2 * len);
+        (origin + len - grown, grown)
+    } else if c >= origin + len {
+        (origin, (c - origin + 1).max(2 * len))
+    } else {
+        (origin, len)
+    }
 }
 
 impl Medium {
@@ -355,7 +528,7 @@ impl Medium {
             hot: Vec::with_capacity(16),
             fading: Vec::with_capacity(16),
             fading_free: Vec::new(),
-            grid: FastMap::with_capacity_and_hasher(64, BuildHasherDefault::default()),
+            grid: Grid::default(),
             loud: Vec::new(),
             cell_size_m,
             candidates: Vec::with_capacity(16),
@@ -363,7 +536,7 @@ impl Medium {
             next_tx: 0,
             shadowing: FastMap::default(),
             link_cache: FastMap::with_capacity_and_hasher(64, BuildHasherDefault::default()),
-            band_overlap: Vec::with_capacity(BAND_MEMO_CAP),
+            bands: BandTable::default(),
             stats: MediumCacheStats::default(),
             shadowing_rng: stream_rng(master_seed, SeedDomain::Shadowing, 0),
             fading_rng: stream_rng(master_seed, SeedDomain::Shadowing, 1),
@@ -420,23 +593,15 @@ impl Medium {
     /// transmissions whose registered grid cell no longer matches.
     fn move_device(&mut self, slot: u32, position: Point) {
         self.positions[slot as usize] = position;
-        let new_cell = cell_key(
-            cell_coord(position.x, self.cell_size_m),
-            cell_coord(position.y, self.cell_size_m),
-        );
+        let new_cell = cell_of(position, self.cell_size_m);
         for idx in 0..self.hot.len() {
             let h = self.hot[idx];
             if h.source_slot != slot || h.loud || h.cell == new_cell {
                 continue;
             }
-            let id = self.active[idx].id;
-            let members = self.grid.get_mut(&h.cell).expect("grid cell desync");
-            let at = members
-                .iter()
-                .position(|&t| t == id)
-                .expect("grid member desync");
-            members.swap_remove(at);
-            self.grid.entry(new_cell).or_default().push(id);
+            let members = self.members_mut(&h);
+            let member = members.swap_remove(member_at(members, idx));
+            self.grid.register(new_cell, member);
             self.hot[idx].cell = new_cell;
         }
     }
@@ -477,7 +642,8 @@ impl Medium {
             .unwrap_or_else(|| panic!("unknown source device {source}"));
         let id = TxId(self.next_tx);
         self.next_tx += 1;
-        self.slab.insert(id, self.active.len() as u32);
+        let idx = self.active.len() as u32;
+        self.slab.insert(id, idx);
         self.active.push(Transmission {
             id,
             source,
@@ -491,21 +657,18 @@ impl Medium {
             .config
             .culling
             .hearing_radius_m(&self.config.path_loss, power);
-        let pos = self.positions[slot as usize];
-        let cell = cell_key(
-            cell_coord(pos.x, self.cell_size_m),
-            cell_coord(pos.y, self.cell_size_m),
-        );
+        let cell = cell_of(self.positions[slot as usize], self.cell_size_m);
         // Radius ≤ one cell ⇒ the 3×3 window around any in-range observer
         // covers this cell; louder transmissions go on the overflow list.
         // (Neither side is ever NaN: radii and cell sizes are `max`-ed
         // non-negative, possibly infinite.)
         let loud = radius > self.cell_size_m;
         if loud {
-            self.loud.push(id);
+            self.loud.push((id, idx));
         } else {
-            self.grid.entry(cell).or_default().push(id);
+            self.grid.register(cell, (id, idx));
         }
+        let band = self.bands.intern(&band);
         self.hot.push(TxHot {
             start,
             end,
@@ -526,6 +689,16 @@ impl Medium {
         self.slab.get(&id).map(|&i| i as usize)
     }
 
+    /// The list the transmission with hot fields `h` is registered on:
+    /// its grid cell, or `loud`.
+    fn members_mut(&mut self, h: &TxHot) -> &mut Vec<Member> {
+        if h.loud {
+            &mut self.loud
+        } else {
+            self.grid.cell_mut(h.cell)
+        }
+    }
+
     /// Removes a finished transmission and returns it.
     ///
     /// # Panics
@@ -537,31 +710,24 @@ impl Medium {
             .slab_index(id)
             .unwrap_or_else(|| panic!("transmission {id:?} not active"));
         self.slab.remove(&id);
+        // Unbucket (order within a cell is irrelevant — queries sort the
+        // gathered candidates by id).
+        let h = self.hot[idx];
+        let members = self.members_mut(&h);
+        members.swap_remove(member_at(members, idx));
         let tx = self.active.swap_remove(idx);
-        let h = self.hot.swap_remove(idx);
+        self.hot.swap_remove(idx);
         let mut draws = self.fading.swap_remove(idx);
         draws.clear();
         self.fading_free.push(draws);
-        // The former tail now lives at `idx`; repoint its index entry.
+        // The former tail now lives at `idx`; repoint its index entries.
         if let Some(moved) = self.active.get(idx) {
+            let tail = self.active.len();
             self.slab.insert(moved.id, idx as u32);
-        }
-        // Unbucket (order within a cell is irrelevant — queries sort the
-        // gathered candidates by id).
-        if h.loud {
-            let at = self
-                .loud
-                .iter()
-                .position(|&t| t == id)
-                .expect("loud list desync");
-            self.loud.swap_remove(at);
-        } else {
-            let members = self.grid.get_mut(&h.cell).expect("grid cell desync");
-            let at = members
-                .iter()
-                .position(|&t| t == id)
-                .expect("grid member desync");
-            members.swap_remove(at);
+            let moved_hot = self.hot[idx];
+            let members = self.members_mut(&moved_hot);
+            let at = member_at(members, tail);
+            members[at].1 = idx as u32;
         }
         tx
     }
@@ -631,27 +797,6 @@ impl Medium {
         (pl_db, shadow)
     }
 
-    /// The memoized spectral overlap fraction of `tx_band` into
-    /// `listening`, keyed by the exact bit patterns of the band edges.
-    fn band_overlap_fraction(&mut self, tx_band: &Band, listening: &Band) -> f64 {
-        let key: BandPairKey = [
-            tx_band.low_mhz.to_bits(),
-            tx_band.high_mhz.to_bits(),
-            listening.low_mhz.to_bits(),
-            listening.high_mhz.to_bits(),
-        ];
-        if let Some(&(_, fraction)) = self.band_overlap.iter().find(|(k, _)| *k == key) {
-            self.stats.band_hits += 1;
-            return fraction;
-        }
-        self.stats.band_misses += 1;
-        let fraction = tx_band.overlap_fraction(listening);
-        if self.band_overlap.len() < BAND_MEMO_CAP {
-            self.band_overlap.push((key, fraction));
-        }
-        fraction
-    }
-
     /// Cumulative cache hit/miss counters since construction.
     pub fn cache_stats(&self) -> MediumCacheStats {
         self.stats
@@ -686,22 +831,19 @@ impl Medium {
     fn gather_candidates(&mut self, obs_slot: u32) {
         let mut cands = std::mem::take(&mut self.candidates);
         cands.clear();
-        let pos = self.positions[obs_slot as usize];
-        let cx = cell_coord(pos.x, self.cell_size_m);
-        let cy = cell_coord(pos.y, self.cell_size_m);
+        let (cx, cy) = cell_of(self.positions[obs_slot as usize], self.cell_size_m);
         let mut cells = 0u64;
         for dy in -1i32..=1 {
             for dx in -1i32..=1 {
-                if let Some(members) = self.grid.get(&cell_key(cx + dx, cy + dy)) {
-                    if !members.is_empty() {
-                        cells += 1;
-                        cands.extend_from_slice(members);
-                    }
+                let members = self.grid.cell((cx + dx, cy + dy));
+                if !members.is_empty() {
+                    cells += 1;
+                    cands.extend_from_slice(members);
                 }
             }
         }
         cands.extend_from_slice(&self.loud);
-        cands.sort_unstable();
+        cands.sort_unstable_by_key(|&(id, _)| id);
         self.grid_stats.queries += 1;
         self.grid_stats.cells_visited += cells;
         self.grid_stats.tx_visited += cands.len() as u64;
@@ -777,11 +919,12 @@ impl Medium {
             .slab_index(tx)
             .unwrap_or_else(|| panic!("transmission {tx:?} not active"));
         let obs_slot = self.slot_of(observer);
+        let listening = self.bands.intern(listening);
         self.in_band_power_at(idx, observer, obs_slot, listening)
     }
 
     /// [`Medium::received_power_in_band`] for a transmission at slab
-    /// index `idx`. Zero band overlap (checked first, as always) and
+    /// index `idx` and an interned listening band. Zero band overlap (checked first, as always) and
     /// out-of-range links both couple exactly [`MilliWatt::ZERO`]
     /// without consuming RNG — skipping such a term leaves a linear
     /// power sum bit-identical, which is what lets the grid drop
@@ -792,10 +935,10 @@ impl Medium {
         idx: usize,
         observer: DeviceId,
         obs_slot: u32,
-        listening: &Band,
+        listening: u32,
     ) -> MilliWatt {
         let h = self.hot[idx];
-        let overlap = self.band_overlap_fraction(&h.band, listening);
+        let overlap = self.bands.fraction(h.band, listening, &mut self.stats);
         if overlap <= 0.0 {
             return MilliWatt::ZERO;
         }
@@ -829,11 +972,12 @@ impl Medium {
         exclude_source: Option<DeviceId>,
     ) -> MilliWatt {
         let obs_slot = self.slot_of(observer);
+        let listening = self.bands.intern(listening);
         self.gather_candidates(obs_slot);
         let cands = std::mem::take(&mut self.candidates);
         let mut total = MilliWatt::ZERO;
-        for &id in &cands {
-            let idx = self.slab_index(id).expect("grid candidate not in slab");
+        for &(_, idx) in &cands {
+            let idx = idx as usize;
             let h = self.hot[idx];
             if h.start > now
                 || h.end <= now
@@ -866,11 +1010,12 @@ impl Medium {
             .unwrap_or_else(|| panic!("transmission {signal:?} not active"));
         let (s_start, s_end) = (self.hot[sidx].start, self.hot[sidx].end);
         let obs_slot = self.slot_of(observer);
+        let listening = self.bands.intern(listening);
         self.gather_candidates(obs_slot);
         let cands = std::mem::take(&mut self.candidates);
         let mut total = MilliWatt::ZERO;
-        for &id in &cands {
-            let idx = self.slab_index(id).expect("grid candidate not in slab");
+        for &(id, idx) in &cands {
+            let idx = idx as usize;
             let h = self.hot[idx];
             if id == signal || h.source == observer || !(h.start < s_end && h.end > s_start) {
                 continue;
@@ -926,30 +1071,26 @@ impl Medium {
     ) {
         out.clear();
         let obs_slot = self.slot_of(observer);
-        let pos = self.positions[obs_slot as usize];
-        let cx = cell_coord(pos.x, self.cell_size_m);
-        let cy = cell_coord(pos.y, self.cell_size_m);
+        let (cx, cy) = cell_of(self.positions[obs_slot as usize], self.cell_size_m);
         for dy in -1i32..=1 {
             for dx in -1i32..=1 {
-                if let Some(members) = self.grid.get(&cell_key(cx + dx, cy + dy)) {
-                    for &id in members {
-                        self.push_if_overlapping(id, observer, obs_slot, listening, from, to, out);
-                    }
+                for &(_, idx) in self.grid.cell((cx + dx, cy + dy)) {
+                    self.push_if_overlapping(idx, observer, obs_slot, listening, from, to, out);
                 }
             }
         }
-        for &id in &self.loud {
-            self.push_if_overlapping(id, observer, obs_slot, listening, from, to, out);
+        for &(_, idx) in &self.loud {
+            self.push_if_overlapping(idx, observer, obs_slot, listening, from, to, out);
         }
         out.sort_by_key(|t| (t.start, t.id));
     }
 
-    /// Appends transmission `id` to `out` if it passes the overlap
-    /// filters of [`Medium::overlapping_into`].
+    /// Appends the transmission at slab index `idx` to `out` if it passes
+    /// the overlap filters of [`Medium::overlapping_into`].
     #[allow(clippy::too_many_arguments)]
     fn push_if_overlapping(
         &self,
-        id: TxId,
+        idx: u32,
         observer: DeviceId,
         obs_slot: u32,
         listening: &Band,
@@ -957,7 +1098,7 @@ impl Medium {
         to: SimTime,
         out: &mut Vec<Transmission>,
     ) {
-        let idx = self.slab_index(id).expect("grid candidate not in slab");
+        let idx = idx as usize;
         let t = self.active[idx];
         if t.source == observer
             || !t.overlaps(from, to)
@@ -1565,6 +1706,81 @@ mod tests {
         assert_eq!(warm.band_hits, cold.band_hits + 1);
         assert_eq!(warm.link_misses, cold.link_misses);
         assert_eq!(warm.band_misses, cold.band_misses);
+    }
+
+    #[test]
+    fn band_memo_caps_at_32_pairs_and_past_the_cap_every_lookup_misses() {
+        // 8 transmit bands × 5 listening bands = 40 distinct pairs; each
+        // `received_power_in_band` call is exactly one overlap lookup.
+        let mut m = setup();
+        let ids: Vec<TxId> = (0..8u32)
+            .map(|k| {
+                m.begin_transmission(
+                    DeviceId::new(0),
+                    Dbm::new(20.0),
+                    Band::centered(2405.0 + 5.0 * f64::from(k), 2.0),
+                    SimTime::ZERO,
+                    SimTime::from_millis(1),
+                    Payload::Noise,
+                )
+            })
+            .collect();
+        let listening: Vec<Band> = (0..5u32)
+            .map(|k| Band::centered(2410.0 + 10.0 * f64::from(k), 20.0))
+            .collect();
+        let pairs: Vec<(TxId, Band)> = listening
+            .iter()
+            .flat_map(|l| ids.iter().map(move |&id| (id, *l)))
+            .collect();
+        assert_eq!(pairs.len(), 40);
+        let observer = DeviceId::new(1);
+        let stats = |m: &Medium| (m.cache_stats().band_hits, m.cache_stats().band_misses);
+
+        // First sight: every pair misses; the first 32 are memoized.
+        for (id, l) in &pairs {
+            m.received_power_in_band(*id, observer, l);
+        }
+        assert_eq!(stats(&m), (0, 40));
+        // Second pass, reversed: the 32 memoized pairs hit, the 8 seen
+        // past the cap miss again.
+        for (id, l) in pairs.iter().rev() {
+            m.received_power_in_band(*id, observer, l);
+        }
+        assert_eq!(stats(&m), (32, 48));
+        // A pair first seen past the cap misses on every lookup...
+        let (late_id, late_band) = pairs[39];
+        for _ in 0..3 {
+            m.received_power_in_band(late_id, observer, &late_band);
+        }
+        assert_eq!(stats(&m), (32, 51));
+        // ... while one seen under the cap hits on every lookup.
+        let (early_id, early_band) = pairs[31];
+        for _ in 0..3 {
+            m.received_power_in_band(early_id, observer, &early_band);
+        }
+        assert_eq!(stats(&m), (35, 51));
+        // A 41st pair, seen after the memo filled, misses too.
+        let extra = Band::centered(2480.0, 5.0);
+        m.received_power_in_band(ids[0], observer, &extra);
+        m.received_power_in_band(ids[0], observer, &extra);
+        assert_eq!(stats(&m), (35, 53));
+    }
+
+    #[test]
+    fn grid_grows_by_doubling_and_keeps_its_members() {
+        let mut g = Grid::default();
+        assert!(g.cell((0, 0)).is_empty(), "an empty grid has no cells");
+        g.register((0, 0), (TxId(0), 0));
+        assert_eq!((g.width, g.height), (1, 1));
+        g.register((1, 0), (TxId(1), 1));
+        g.register((-1, 0), (TxId(2), 2));
+        assert_eq!(g.width, 4, "each growth at least doubles the axis");
+        g.register((-1, -9), (TxId(3), 3));
+        assert_eq!((g.height, g.y0), (10, -9));
+        for (cell, id) in [((0, 0), 0), ((1, 0), 1), ((-1, 0), 2), ((-1, -9), 3)] {
+            assert_eq!(g.cell(cell), &[(TxId(id), id as u32)][..]);
+        }
+        assert!(g.cell((40, 40)).is_empty() && g.cell((-40, 0)).is_empty());
     }
 
     /// An aggressive culling config with ~29 m hearing radius at 0 dBm

@@ -262,9 +262,9 @@ impl DenseCityConfig {
                     }
                     let d = &devices[idx as usize];
                     results.attempts += 1;
-                    let sensed = medium.sensed_power(d.id, &d.band, now, None);
-                    sensed_sum_dbm += sensed.to_dbm().value();
-                    if sensed.to_dbm() >= d.busy {
+                    let sensed = medium.sensed_power(d.id, &d.band, now, None).to_dbm();
+                    sensed_sum_dbm += sensed.value();
+                    if sensed >= d.busy {
                         // Busy: defer and re-attempt after a short
                         // exponential backoff.
                         results.deferrals += 1;

@@ -7,14 +7,19 @@
 //!
 //! The queue sits on the simulation's hottest path (every frame, timer and
 //! sample passes through it), so the implementation avoids the obvious
-//! overheads: the heap key is a single packed `u128` compare instead of a
-//! two-field lexicographic compare, the live-event set hashes its dense
-//! `u64` sequence numbers with a one-multiply mixer instead of SipHash, and
+//! overheads: heap entries compare as one packed `u128` instead of a
+//! two-field lexicographic compare, and liveness is a slot table instead
+//! of a hash set. Each pending event holds a slot, which stores the event
+//! and its sequence number; the number doubles as the slot's generation,
+//! so checking a heap entry or a cancellation handle is one indexed
+//! compare. Freed slots are reused, so the table is as large as the peak
+//! number of pending events, not the number of pushes. Heap entries carry
+//! only `(time, seq, slot)`, 24 bytes whatever the event type.
 //! [`EventQueue::with_capacity`] / [`EventQueue::reserve`] let callers
-//! pre-size both structures.
+//! pre-size the heap and the table.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::time::SimTime;
@@ -23,10 +28,19 @@ use crate::time::SimTime;
 ///
 /// Handles are unique per [`EventQueue`] instance and never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventHandle(u64);
+pub struct EventHandle {
+    /// The event's sequence number: unique, and its slot's generation.
+    seq: u64,
+    /// The liveness slot the event holds while pending.
+    slot: u32,
+}
 
-/// One-multiply hasher for the dense `u64` sequence numbers in the pending
-/// set. SplitMix64-style finalization: fast, and sequential keys spread
+/// Liveness value of a slot no pending event holds. No event gets this
+/// sequence number: the counter would first have to count every `u64`.
+const FREE: u64 = u64::MAX;
+
+/// One-multiply hasher for small integer ids, the hasher of [`FastMap`].
+/// SplitMix64-style finalization: fast, and sequential keys spread
 /// across the whole output range (std's SipHash costs ~10× as much per
 /// lookup for zero benefit against non-adversarial keys).
 #[derive(Debug, Default, Clone)]
@@ -62,46 +76,55 @@ impl Hasher for SeqHasher {
 /// are small ids, never adversarial.
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<SeqHasher>>;
 
-type SeqSet = HashSet<u64, BuildHasherDefault<SeqHasher>>;
+/// One heap entry: the ordering key plus the slot that holds the event.
+/// Payloads stay in the slot table, so sifting moves 24 bytes whatever
+/// the event type.
+#[derive(Clone, Copy)]
+struct Entry {
+    /// Scheduled time, µs.
+    time: u64,
+    /// Push order: the FIFO tie-break among equal times.
+    seq: u64,
+    /// The slot the event holds while pending.
+    slot: u32,
+}
 
-struct Entry<E> {
+impl Entry {
     /// `(time << 64) | seq` — one `u128` compare orders by time with FIFO
     /// tie-break, replacing the two-branch lexicographic compare.
-    key: u128,
-    event: E,
-}
-
-#[inline]
-fn pack(time: SimTime, seq: u64) -> u128 {
-    (u128::from(time.as_micros()) << 64) | u128::from(seq)
-}
-
-#[inline]
-fn unpack_time(key: u128) -> SimTime {
-    SimTime::from_micros((key >> 64) as u64)
-}
-
-#[inline]
-fn unpack_seq(key: u128) -> u64 {
-    key as u64
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
+    #[inline]
+    fn key(&self) -> u128 {
+        (u128::from(self.time) << 64) | u128::from(self.seq)
     }
 }
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+impl Eq for Entry {}
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E> Ord for Entry<E> {
+impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse: BinaryHeap is a max-heap, we want the earliest first.
-        other.key.cmp(&self.key)
+        other.key().cmp(&self.key())
     }
+}
+
+/// One slot of the liveness table.
+struct Slot<E> {
+    /// Sequence number of the pending event holding the slot, or
+    /// [`FREE`]. It doubles as the slot's generation: sequence numbers are
+    /// never reused, so a stale heap entry or handle never matches a slot
+    /// that has since been reused.
+    seq: u64,
+    /// The pending event's payload.
+    event: Option<E>,
 }
 
 /// A deterministic priority queue of timestamped events.
@@ -122,11 +145,15 @@ impl<E> Ord for Entry<E> {
 /// assert_eq!(q.pop(), None); // 'c' was cancelled
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    heap: BinaryHeap<Entry>,
     next_seq: u64,
-    /// Sequence numbers of events that are scheduled and not yet popped or
-    /// cancelled. Cancelled entries are dropped lazily at the heap head.
-    pending: SeqSet,
+    /// Pending events by slot. An event is live while its slot still
+    /// holds its sequence number; popping or cancelling frees the slot.
+    /// Cancelled heap entries are dropped lazily at the heap head.
+    slots: Vec<Slot<E>>,
+    /// Free slots, reused last-in first-out: the table never outgrows the
+    /// peak number of pending events.
+    free: Vec<u32>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -138,11 +165,7 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            pending: SeqSet::default(),
-        }
+        Self::with_capacity(0)
     }
 
     /// Creates an empty queue pre-sized for `capacity` pending events.
@@ -150,41 +173,70 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
             next_seq: 0,
-            pending: SeqSet::with_capacity_and_hasher(capacity, Default::default()),
+            slots: Vec::with_capacity(capacity),
+            free: Vec::new(),
         }
     }
 
     /// Pre-sizes for at least `additional` further events.
     pub fn reserve(&mut self, additional: usize) {
         self.heap.reserve(additional);
-        self.pending.reserve(additional);
+        self.slots.reserve(additional);
     }
 
     /// Schedules `event` at `time` and returns a cancellation handle.
     pub fn push(&mut self, time: SimTime, event: E) -> EventHandle {
         let seq = self.next_seq;
         self.next_seq += 1;
+        let filled = Slot {
+            seq,
+            event: Some(event),
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = filled;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("more than u32::MAX pending");
+                self.slots.push(filled);
+                slot
+            }
+        };
         self.heap.push(Entry {
-            key: pack(time, seq),
-            event,
+            time: time.as_micros(),
+            seq,
+            slot,
         });
-        self.pending.insert(seq);
-        EventHandle(seq)
+        EventHandle { seq, slot }
+    }
+
+    /// Frees `slot` and returns its event if event `seq` still holds it.
+    #[inline]
+    fn release(&mut self, slot: u32, seq: u64) -> Option<E> {
+        let held = self.slots.get_mut(slot as usize)?;
+        if held.seq != seq {
+            return None;
+        }
+        held.seq = FREE;
+        self.free.push(slot);
+        held.event.take()
     }
 
     /// Cancels a previously scheduled event.
     ///
     /// Returns `true` if the event had not yet been popped or cancelled.
-    /// Cancelled events are dropped lazily when they reach the queue head.
+    /// The event is dropped at once; its heap entry is dropped lazily when
+    /// it reaches the queue head.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        self.pending.remove(&handle.0)
+        self.release(handle.slot, handle.seq).is_some()
     }
 
     /// Removes and returns the earliest live event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         while let Some(entry) = self.heap.pop() {
-            if self.pending.remove(&unpack_seq(entry.key)) {
-                return Some((unpack_time(entry.key), entry.event));
+            if let Some(event) = self.release(entry.slot, entry.seq) {
+                return Some((SimTime::from_micros(entry.time), event));
             }
         }
         None
@@ -194,8 +246,8 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&mut self) -> Option<SimTime> {
         // Drain cancelled entries off the head so the peeked value is live.
         while let Some(entry) = self.heap.peek() {
-            if self.pending.contains(&unpack_seq(entry.key)) {
-                return Some(unpack_time(entry.key));
+            if self.slots[entry.slot as usize].seq == entry.seq {
+                return Some(SimTime::from_micros(entry.time));
             }
             self.heap.pop();
         }
@@ -204,19 +256,19 @@ impl<E> EventQueue<E> {
 
     /// Number of live (non-cancelled, not yet popped) events.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.slots.len() - self.free.len()
     }
 
     /// `true` if no live events remain.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.len() == 0
     }
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("live", &self.pending.len())
+            .field("live", &self.len())
             .field("heap_size", &self.heap.len())
             .finish()
     }
@@ -266,7 +318,7 @@ mod tests {
     #[test]
     fn cancel_unknown_handle_is_false() {
         let mut q: EventQueue<u8> = EventQueue::new();
-        assert!(!q.cancel(EventHandle(42)));
+        assert!(!q.cancel(EventHandle { seq: 42, slot: 0 }));
     }
 
     #[test]
@@ -323,7 +375,118 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime::MAX, "max")));
     }
 
+    #[test]
+    fn liveness_table_stays_at_peak_pending_size() {
+        let mut q = EventQueue::new();
+        let mut handles: Vec<EventHandle> = (0..8u64)
+            .map(|i| q.push(SimTime::from_micros(i), i))
+            .collect();
+        for i in 8..100_008u64 {
+            if i % 3 == 0 {
+                // Cancel the newest handle and replace it...
+                let h = handles.pop().expect("eight handles held");
+                if q.cancel(h) {
+                    handles.push(q.push(SimTime::from_micros(i), i));
+                }
+            } else {
+                // ... or retire the earliest event and schedule another.
+                q.pop().expect("eight events pending");
+                handles.push(q.push(SimTime::from_micros(i), i));
+            }
+            assert_eq!(q.len(), 8);
+            assert!(
+                q.slots.len() <= 8,
+                "liveness table grew to {}",
+                q.slots.len()
+            );
+        }
+        assert_eq!(q.slots.len(), 8);
+    }
+
+    /// One step of the model test.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Push(u64),
+        /// Cancel the `n % issued`-th handle issued so far: live, popped
+        /// or already cancelled.
+        Cancel(usize),
+        /// Cancel a handle this queue never issued.
+        CancelUnknown(u32),
+        Pop,
+        PeekTime,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..11, 0u64..50, any::<usize>(), any::<u32>()).prop_map(
+            |(pick, t, n, slot)| match pick {
+                0..=3 => Op::Push(t),
+                4..=5 => Op::Cancel(n),
+                6 => Op::CancelUnknown(slot),
+                7..=9 => Op::Pop,
+                _ => Op::PeekTime,
+            },
+        )
+    }
+
     proptest! {
+        /// `push`/`cancel`/`pop`/`peek_time`/`len` against a `BinaryHeap`
+        /// of `(time, seq)` plus a `HashSet` of live sequence numbers.
+        #[test]
+        fn matches_a_heap_and_set_model(ops in proptest::collection::vec(op(), 1..300)) {
+            use std::cmp::Reverse;
+            use std::collections::{BinaryHeap, HashSet};
+
+            let mut q = EventQueue::new();
+            let mut model: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+            let mut live: HashSet<u64> = HashSet::new();
+            let mut handles: Vec<EventHandle> = Vec::new();
+            let mut peak = 0;
+            for op in ops {
+                match op {
+                    Op::Push(t) => {
+                        let seq = handles.len() as u64;
+                        handles.push(q.push(SimTime::from_micros(t), seq));
+                        model.push(Reverse((t, seq)));
+                        live.insert(seq);
+                        peak = peak.max(live.len());
+                    }
+                    Op::Cancel(n) if !handles.is_empty() => {
+                        let seq = n % handles.len();
+                        let want = live.remove(&(seq as u64));
+                        prop_assert_eq!(q.cancel(handles[seq]), want);
+                    }
+                    Op::Cancel(_) => {}
+                    Op::CancelUnknown(slot) => {
+                        let forged = EventHandle { seq: handles.len() as u64 + 1, slot };
+                        prop_assert!(!q.cancel(forged));
+                    }
+                    Op::Pop => {
+                        let mut want = None;
+                        while let Some(Reverse((t, seq))) = model.pop() {
+                            if live.remove(&seq) {
+                                want = Some((SimTime::from_micros(t), seq));
+                                break;
+                            }
+                        }
+                        prop_assert_eq!(q.pop(), want);
+                    }
+                    Op::PeekTime => {
+                        while let Some(&Reverse((_, seq))) = model.peek() {
+                            if live.contains(&seq) {
+                                break;
+                            }
+                            model.pop();
+                        }
+                        let want = model.peek().map(|&Reverse((t, _))| SimTime::from_micros(t));
+                        prop_assert_eq!(q.peek_time(), want);
+                    }
+                }
+                prop_assert_eq!(q.len(), live.len());
+                prop_assert_eq!(q.is_empty(), live.is_empty());
+                prop_assert_eq!(q.slots.len(), peak, "liveness table is not peak-pending sized");
+            }
+        }
+
         #[test]
         fn pop_order_is_sorted_and_stable(times in proptest::collection::vec(0u64..1000, 1..200)) {
             let mut q = EventQueue::new();
